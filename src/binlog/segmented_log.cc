@@ -191,15 +191,7 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
   info.last_version = head_version_;
   info.have_checkpoint = have_checkpoint_;
   if (have_checkpoint_) info.checkpoint = latest_checkpoint_;
-  Result<std::string> wm = store_->ReadMeta(kWatermarkKey);
-  if (wm.ok()) {
-    info.meta_watermark = 0;
-    for (char c : wm.value()) {
-      if (c < '0' || c > '9') break;
-      info.meta_watermark = info.meta_watermark * 10 +
-                            static_cast<middleware::GlobalVersion>(c - '0');
-    }
-  }
+  info.meta_watermark = PersistedWatermark();
   return info;
 }
 
@@ -228,6 +220,17 @@ size_t SegmentedBinlog::TruncateThrough(middleware::GlobalVersion version) {
 
 Status SegmentedBinlog::PersistWatermark(middleware::GlobalVersion version) {
   return store_->WriteMeta(kWatermarkKey, std::to_string(version));
+}
+
+middleware::GlobalVersion SegmentedBinlog::PersistedWatermark() const {
+  Result<std::string> wm = store_->ReadMeta(kWatermarkKey);
+  if (!wm.ok()) return 0;
+  middleware::GlobalVersion v = 0;
+  for (char c : wm.value()) {
+    if (c < '0' || c > '9') break;
+    v = v * 10 + static_cast<middleware::GlobalVersion>(c - '0');
+  }
+  return v;
 }
 
 BinlogStats SegmentedBinlog::Stats() const {

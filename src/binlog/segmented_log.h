@@ -143,6 +143,8 @@ class SegmentedBinlog {
 
   /// Persists the caller's apply watermark in the store's meta area.
   Status PersistWatermark(middleware::GlobalVersion version);
+  /// The watermark PersistWatermark last wrote (0 when absent).
+  middleware::GlobalVersion PersistedWatermark() const;
 
   middleware::GlobalVersion head_version() const { return head_version_; }
   middleware::GlobalVersion truncate_watermark() const {

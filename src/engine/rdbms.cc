@@ -1184,8 +1184,11 @@ Status Rdbms::CommitTxn(Session* session) {
     BinlogEntry entry;
     entry.commit_seq = cs;
     entry.txn = txn.id;
-    if (options_.binlog_statements) entry.statements = txn.statements;
-    if (options_.capture_writesets) entry.writeset = txn.writeset;
+    // The transaction ends below: hand its buffers over rather than copy.
+    if (options_.binlog_statements) {
+      entry.statements = std::move(txn.statements);
+    }
+    if (options_.capture_writesets) entry.writeset = std::move(txn.writeset);
     entry.session_user = session->user;
     entry.commit_time_micros = options_.clock();
     binlog_.push_back(std::move(entry));

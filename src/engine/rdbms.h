@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include "common/hashing.h"
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -168,9 +169,13 @@ class Rdbms {
 
   // --- Replication hooks ----------------------------------------------------
 
-  /// Committed-transaction log. Entries carry statement texts and/or
-  /// writesets per RdbmsOptions.
+  /// Commit outbox: committed transactions the replication layer has not
+  /// taken yet, in commit order. Entries carry statement texts and/or
+  /// writesets per RdbmsOptions. The replica's durable log is the only
+  /// retained replication log; this holds at most one ship tick.
   const std::vector<BinlogEntry>& binlog() const { return binlog_; }
+  /// Hands the pending outbox over and leaves it empty.
+  std::vector<BinlogEntry> TakeBinlog() { return std::exchange(binlog_, {}); }
   CommitSeq last_commit_seq() const { return commit_seq_; }
 
   /// Applies a writeset as one transaction (slave apply / certified
@@ -207,7 +212,8 @@ class Rdbms {
   Result<BackupImage> Backup(const BackupOptions& opts) const;
 
   /// Replaces this engine's entire contents with the image (replica
-  /// cloning / restore). Sessions must be closed first.
+  /// cloning / restore) and empties the commit outbox. Sessions must be
+  /// closed first.
   Status Restore(const BackupImage& image);
 
   /// Injected resource exhaustion: all writes fail with kDiskFull until
@@ -300,7 +306,7 @@ class Rdbms {
 
   std::map<std::string, TableLocks> locks_;
 
-  std::vector<BinlogEntry> binlog_;
+  std::vector<BinlogEntry> binlog_;  ///< Commit outbox (see binlog()).
   bool disk_full_ = false;
   int trigger_depth_ = 0;
   RdbmsStats stats_;

@@ -98,6 +98,9 @@ void Cluster::Setup(const std::vector<std::string>& statements) {
       engine::ExecResult res = r->AdminExec(stmt);
       REPLIDB_CHECK(res.ok(), ("setup failed: " + res.status.ToString() +
                                " for " + stmt).c_str());
+      // Every replica runs the load itself, so it never enters the
+      // replication stream: drop it from the commit outbox as it goes.
+      r->engine()->TakeBinlog();
     }
   }
 }

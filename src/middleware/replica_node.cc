@@ -111,7 +111,6 @@ ReplicaNode::ReplicaNode(sim::Simulator* sim, net::Network* network,
 
   dispatcher_->On(kMsgExec, [this](const net::Message& m) { HandleExec(m); });
   dispatcher_->On(kMsgFinish, [this](const net::Message& m) { HandleFinish(m); });
-  dispatcher_->On(kMsgApply, [this](const net::Message& m) { HandleApply(m); });
   dispatcher_->On(kMsgShipAck, [this](const net::Message& m) {
     auto body = std::any_cast<ShipAckMsg>(m.body);
     auto it = pending_sync_.find(body.version);
@@ -182,20 +181,8 @@ int64_t ReplicaNode::QueueDepth() const {
   return busy;
 }
 
-uint64_t ReplicaNode::unshipped_entries() const {
-  return engine_->binlog().size() - binlog_shipped_index_;
-}
-
 GlobalVersion ReplicaNode::persisted_watermark() const {
-  Result<std::string> wm =
-      log_store_->ReadMeta(binlog::SegmentedBinlog::kWatermarkKey);
-  if (!wm.ok()) return 0;
-  GlobalVersion v = 0;
-  for (char c : wm.value()) {
-    if (c < '0' || c > '9') break;
-    v = v * 10 + static_cast<GlobalVersion>(c - '0');
-  }
-  return v;
+  return durable_log_->PersistedWatermark();
 }
 
 void ReplicaNode::Crash() {
@@ -237,7 +224,6 @@ void ReplicaNode::Crash() {
     engine_ = std::make_unique<engine::Rdbms>(engine_options_);
     applied_version_ = 0;
     engine_applied_ = 0;
-    binlog_shipped_index_ = 0;
     last_shipped_ = 0;
     log_store_ = std::make_unique<binlog::MemLogStore>();
     binlog::SegmentedLogOptions log_opts;
@@ -245,7 +231,6 @@ void ReplicaNode::Crash() {
     log_opts.sync_every_append = options_.binlog.sync_every_append;
     durable_log_ =
         std::make_unique<binlog::SegmentedBinlog>(log_store_.get(), log_opts);
-    writeset_table_ = binlog::WritesetTable();
     entries_since_checkpoint_ = 0;
     prev_checkpoint_version_ = 0;
   } else if (options_.binlog.durable) {
@@ -256,7 +241,6 @@ void ReplicaNode::Crash() {
     engine_ = std::make_unique<engine::Rdbms>(engine_options_);
     applied_version_ = 0;
     engine_applied_ = 0;
-    binlog_shipped_index_ = 0;
   }
 }
 
@@ -291,11 +275,11 @@ void ReplicaNode::HandleExec(const net::Message& m) {
         ordered_buffer_.count(msg.order)) {
       return;  // Duplicate.
     }
-    ApplyMsg as_apply;
-    as_apply.entry.version = msg.order;
-    as_apply.entry.statements = msg.statements;
-    as_apply.entry.use_statements = true;
-    ordered_buffer_[msg.order] = std::move(as_apply);
+    OrderedSlot slot;
+    slot.entry.version = msg.order;
+    slot.entry.statements = msg.statements;
+    slot.entry.use_statements = true;
+    ordered_buffer_[msg.order] = std::move(slot);
     ordered_arrival_[msg.order] = sim_->Now();
     ordered_exec_[msg.order] = std::make_pair(msg, m.from);
     DrainOrderedBuffer();
@@ -464,7 +448,7 @@ void ReplicaNode::HandleFinish(const net::Message& m) {
       // The held transaction died (killed by a conflicting apply or lost
       // in a crash), but the transaction is certified: it must commit
       // everywhere. Consume the version slot by applying the row images.
-      ApplyMsg fallback;
+      OrderedSlot fallback;
       fallback.entry = msg.entry;
       if (msg.version > engine_applied_ &&
           !ordered_buffer_.count(msg.version)) {
@@ -495,7 +479,7 @@ void ReplicaNode::HandleFinish(const net::Message& m) {
     return;
   }
   // Commit consumes the transaction's slot in the global order.
-  ApplyMsg slot;
+  OrderedSlot slot;
   slot.entry.version = msg.version;
   slot.skip = true;  // Engine work happens via the held session.
   ordered_buffer_[msg.version] = std::move(slot);
@@ -507,29 +491,22 @@ void ReplicaNode::HandleFinish(const net::Message& m) {
 // ---------------------------------------------------------------------------
 // Ordered replication stream
 
-void ReplicaNode::HandleApply(const net::Message& m) {
-  if (crashed_) return;
-  auto msg = std::any_cast<ApplyMsg>(m.body);
-  EnqueueOrdered(std::move(msg), m.from);
-  DrainOrderedBuffer();
-}
-
-bool ReplicaNode::EnqueueOrdered(ApplyMsg msg, net::NodeId from) {
-  GlobalVersion v = msg.entry.version;
+bool ReplicaNode::EnqueueOrdered(OrderedSlot slot, net::NodeId from) {
+  GlobalVersion v = slot.entry.version;
   if (v <= applied_version_ || v <= engine_applied_ ||
       ordered_buffer_.count(v)) {
     // Duplicate (e.g. resync replay overlapping the master's own ship).
-    if (msg.ack_requested) {
+    if (slot.ack_requested) {
       dispatcher_->Send(from, kMsgShipAck, ShipAckMsg{v}, kAckWireBytes);
     }
     return false;
   }
-  if (msg.ack_requested) {
+  if (slot.ack_requested) {
     // Receipt ack (2-safe is about receipt, not application).
     dispatcher_->Send(from, kMsgShipAck, ShipAckMsg{v}, kAckWireBytes);
-    msg.ack_requested = false;
+    slot.ack_requested = false;
   }
-  ordered_buffer_[v] = std::move(msg);
+  ordered_buffer_[v] = std::move(slot);
   ordered_arrival_[v] = sim_->Now();
   return true;
 }
@@ -545,12 +522,12 @@ void ReplicaNode::HandleShipBatch(const net::Message& m) {
     batch_sent_us = batch->sent_us;
   }
   for (ship::IngestedEntry& ie : ingested.value()) {
-    ApplyMsg msg;
-    msg.entry = std::move(ie.entry);
-    msg.ack_requested = ie.ack_requested;
-    msg.group_follower = ie.group_follower;
-    GlobalVersion v = msg.entry.version;
-    int64_t origin_us = msg.entry.origin_commit_us;
+    OrderedSlot slot;
+    slot.entry = std::move(ie.entry);
+    slot.ack_requested = ie.ack_requested;
+    slot.group_follower = ie.group_follower;
+    GlobalVersion v = slot.entry.version;
+    int64_t origin_us = slot.entry.origin_commit_us;
     if (obs::CriticalPathEnabled() && origin_us > 0) {
       auto& cp = obs::CriticalPathCollector::Global();
       // Idempotent: normally opened sender-side at enqueue time; resync
@@ -562,7 +539,7 @@ void ReplicaNode::HandleShipBatch(const net::Message& m) {
                       obs::WaitState::kNetTransit, batch_sent_us, sim_->Now());
       }
     }
-    if (EnqueueOrdered(std::move(msg), m.from)) {
+    if (EnqueueOrdered(std::move(slot), m.from)) {
       // Credit matures when this entry is durably applied.
       pending_credits_.emplace(v, std::make_pair(m.from, ie.credit_bytes));
     } else {
@@ -596,7 +573,7 @@ void ReplicaNode::DrainOrderedBuffer() {
     auto it = ordered_buffer_.find(engine_applied_ + 1);
     if (it == ordered_buffer_.end()) break;
     GlobalVersion v = it->first;
-    ApplyMsg item = std::move(it->second);
+    OrderedSlot item = std::move(it->second);
     ordered_buffer_.erase(it);
     engine_applied_ = v;
 
@@ -896,32 +873,29 @@ void ReplicaNode::DrainOrderedBuffer() {
 void ReplicaNode::ShipCommitted(int sync_acks_for_version,
                                 GlobalVersion sync_version) {
   (void)sync_acks_for_version;
-  const auto& binlog = engine_->binlog();
-  // Stage 1 — fold freshly committed engine-binlog entries into the
-  // durable log. Only a shipping master converts (a slave's engine
-  // commit_seq drifts below the global order when stream applies fail,
-  // so its durable log is fed exclusively by DrainOrderedBuffer).
+  // Stage 1 — take the engine's commit outbox, so it never holds more than
+  // one tick of commits. Only a shipping master appends it to the durable
+  // log (a slave's engine commit_seq drifts below the global order when
+  // stream applies fail, so its durable log is fed exclusively by
+  // DrainOrderedBuffer); every other node drops it.
+  std::vector<engine::BinlogEntry> committed = engine_->TakeBinlog();
   if (!subscribers_.empty()) {
-    while (binlog_shipped_index_ < binlog.size()) {
-      const engine::BinlogEntry& be = binlog[binlog_shipped_index_];
-      ++binlog_shipped_index_;
+    for (engine::BinlogEntry& be : committed) {
       ReplicationEntry entry;
       entry.version = be.commit_seq;
-      entry.writeset = be.writeset;
-      entry.statements = be.statements;
       // Prefer row images when they are complete; fall back to statements
       // (DDL, PK-less tables).
       entry.use_statements = be.writeset.empty() || be.writeset.incomplete;
+      entry.writeset = std::move(be.writeset);
+      entry.statements = std::move(be.statements);
       entry.origin_commit_us =
           be.commit_time_micros > 0 ? be.commit_time_micros : sim_->Now();
       DurableAppend(entry);
     }
     MaybeCheckpoint();
-  } else {
-    binlog_shipped_index_ = binlog.size();
   }
   // Stage 2 — ship from the durable log: the pipeline reads a cursor over
-  // the on-disk segments, never the engine's in-memory vector.
+  // the on-disk segments.
   bool sync_version_covered = false;
   if (!subscribers_.empty() && durable_log_->head_version() > last_shipped_) {
     binlog::LogCursor cur = durable_log_->Cursor(last_shipped_);
@@ -963,7 +937,6 @@ void ReplicaNode::ShipCommitted(int sync_acks_for_version,
 void ReplicaNode::DurableAppend(const ReplicationEntry& entry) {
   if (entry.version <= durable_log_->head_version()) return;  // Duplicate.
   if (!durable_log_->Append(entry).ok()) return;  // Injected disk fault.
-  writeset_table_.Add(entry.version, entry.writeset);
   ++entries_since_checkpoint_;
 }
 
@@ -986,7 +959,6 @@ void ReplicaNode::TakeCheckpoint() {
   cp.image = image.TakeValue();
   if (!durable_log_->AppendCheckpoint(cp).ok()) return;
   entries_since_checkpoint_ = 0;
-  writeset_table_.Rotate(cp.version);
   // GC sealed segments behind the slowest consumer: recovery needs
   // nothing before the previous checkpoint, and a shipping master must
   // also hold everything its subscribers have not received yet.
@@ -1060,7 +1032,8 @@ void ReplicaNode::RecoverFromDurableLog(sim::TimePoint now) {
   }
   applied_version_ = v;
   engine_applied_ = v;
-  binlog_shipped_index_ = engine_->binlog().size();
+  // The replayed commits came from the durable log: nothing to ship.
+  engine_->TakeBinlog();
   last_shipped_ = std::max(last_shipped_, v);
   durable_log_->PersistWatermark(v);
   // Recovery occupies the node: workers come back busy until the image
@@ -1218,7 +1191,6 @@ void ReplicaNode::HandleRestore(const net::Message& m) {
   if (reply.status.ok()) {
     applied_version_ = msg.as_of_version;
     engine_applied_ = msg.as_of_version;
-    binlog_shipped_index_ = 0;
     last_shipped_ = msg.as_of_version;
     // The image already contains every version up to as_of_version: drop
     // buffered stream entries the restore superseded (their slots are
@@ -1261,10 +1233,10 @@ void ReplicaNode::MarkSetupComplete() {
   applied_version_ = v;
   engine_applied_ = v;
   last_shipped_ = v;
-  binlog_shipped_index_ = engine_->binlog().size();
   // Seed data never flows through the shipping cursor, so the durable
   // log's baseline is this checkpoint: recovery restores it and replays
   // only post-setup entries.
+  engine_->TakeBinlog();
   TakeCheckpoint();
 }
 

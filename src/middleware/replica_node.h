@@ -8,7 +8,6 @@
 
 #include "binlog/log_store.h"
 #include "binlog/segmented_log.h"
-#include "binlog/writeset_table.h"
 #include "engine/rdbms.h"
 #include "middleware/apply_scheduler.h"
 #include "middleware/messages.h"
@@ -116,8 +115,6 @@ class ReplicaNode {
 
   /// Number of entries shipped to subscribers so far.
   GlobalVersion shipped_version() const { return last_shipped_; }
-  /// Entries committed locally but not yet shipped (loss window size).
-  uint64_t unshipped_entries() const;
 
   /// Versions queued in the ordered stream but not yet applied (lag in
   /// entries; the paper's master/slave lag, §2.2).
@@ -161,9 +158,6 @@ class ReplicaNode {
   /// disk-level corruption.
   binlog::LogStore* log_store() { return log_store_.get(); }
   binlog::SegmentedBinlog* durable_log() { return durable_log_.get(); }
-  const binlog::WritesetTable& writeset_table() const {
-    return writeset_table_;
-  }
   binlog::BinlogStats DurableLogStats() const { return durable_log_->Stats(); }
   /// Apply watermark persisted in the store's meta area — where crash
   /// recovery resumes its tail replay after the checkpoint image.
@@ -184,18 +178,30 @@ class ReplicaNode {
     net::NodeId from = -1;
   };
 
+  /// One version slot of the ordered replication stream: a shipped or
+  /// certified entry, an ordered statement-mode transaction, or (`skip`)
+  /// the origin replica's own certified commit.
+  struct OrderedSlot {
+    ReplicationEntry entry;
+    /// Engine work happens elsewhere (the held session commits it).
+    bool skip = false;
+    /// The sender asked for a receipt ack (2-safe shipping).
+    bool ack_requested = false;
+    /// Entry arrived after the first of a shipped batch: its durable apply
+    /// shares the batch's group fsync (ReplicaOptions::apply_group_factor).
+    bool group_follower = false;
+  };
+
   void HandleExec(const net::Message& m);
   void StartUnorderedExec(const ExecTxnMsg& msg, net::NodeId from);
   void DrainWaitingReads();
   /// Applies the hot-table cache model; returns the adjusted cost.
   int64_t TouchCache(const std::vector<std::string>& tables, int64_t cost);
   void HandleFinish(const net::Message& m);
-  void HandleApply(const net::Message& m);
   void HandleShipBatch(const net::Message& m);
-  /// Queues one ingested entry into the ordered stream (shared by the
-  /// legacy kMsgApply path and the batch ingest path). Returns false for
+  /// Queues one ingested entry into the ordered stream. Returns false for
   /// duplicates.
-  bool EnqueueOrdered(ApplyMsg msg, net::NodeId from);
+  bool EnqueueOrdered(OrderedSlot slot, net::NodeId from);
   /// Grants matured byte credits (entries applied up to applied_version_)
   /// back to their senders.
   void ReleaseCredits();
@@ -217,19 +223,19 @@ class ReplicaNode {
   sim::TimePoint ChargeWorker(int64_t cost_us,
                               sim::TimePoint* start_out = nullptr);
 
-  /// Ships binlog-derived entries committed after last_shipped_.
+  /// Takes the engine's commit outbox (a shipping master appends it to the
+  /// durable log) and ships durable entries after last_shipped_.
   void ShipCommitted(int sync_acks_for_version = 0,
                      GlobalVersion sync_version = 0);
 
   /// Appends one replication-stream entry to the durable log (write-ahead
-  /// of its engine apply) and folds it into the writeset table. Duplicate
-  /// versions are ignored.
+  /// of its engine apply). Duplicate versions are ignored.
   void DurableAppend(const ReplicationEntry& entry);
   /// Takes a checkpoint when checkpoint_every entries accumulated.
   void MaybeCheckpoint();
-  /// Captures engine digests + image into a checkpoint record, rotates
-  /// the writeset table, and GCs sealed segments behind the slowest
-  /// consumer (previous checkpoint, and the ship watermark for masters).
+  /// Captures engine digests + image into a checkpoint record and GCs
+  /// sealed segments behind the slowest consumer (previous checkpoint, and
+  /// the ship watermark for masters).
   void TakeCheckpoint();
   /// Durable-mode restart path: CRC-scan the log, restore the latest
   /// checkpoint image, verify its digests, replay the tail, and charge
@@ -269,7 +275,7 @@ class ReplicaNode {
   // completion (what the outside world observes).
   GlobalVersion applied_version_ = 0;
   GlobalVersion engine_applied_ = 0;
-  std::map<GlobalVersion, ApplyMsg> ordered_buffer_;
+  std::map<GlobalVersion, OrderedSlot> ordered_buffer_;
   /// When each buffered version entered this node (queue-wait stage start).
   std::map<GlobalVersion, sim::TimePoint> ordered_arrival_;
   std::map<GlobalVersion, std::pair<ExecTxnMsg, net::NodeId>> ordered_exec_;
@@ -279,10 +285,10 @@ class ReplicaNode {
   ApplyScheduler apply_sched_;
   uint64_t apply_errors_ = 0;
 
-  // Durable segmented binlog: the node's on-"disk" replication log.
+  // Durable segmented binlog: the node's on-"disk" replication log and
+  // the only one it retains.
   std::unique_ptr<binlog::LogStore> log_store_;
   std::unique_ptr<binlog::SegmentedBinlog> durable_log_;
-  binlog::WritesetTable writeset_table_;
   uint64_t entries_since_checkpoint_ = 0;
   GlobalVersion prev_checkpoint_version_ = 0;
   uint64_t recoveries_ = 0;
@@ -292,7 +298,6 @@ class ReplicaNode {
   // Master shipping.
   std::vector<net::NodeId> subscribers_;
   GlobalVersion last_shipped_ = 0;
-  size_t binlog_shipped_index_ = 0;
   std::unique_ptr<sim::PeriodicTask> ship_task_;
   // 2-safe bookkeeping: version -> (acks outstanding, reply closure).
   struct PendingSync {

@@ -1,8 +1,8 @@
 // Tests for the durable segmented binlog (src/binlog): record framing,
 // the LogStore durability/fault model, segment rollover and truncation,
-// CRC-validated crash recovery ("never apply garbage"), the writeset
-// table, the file backend, and end-to-end crash-restart through a
-// cluster in every replication mode.
+// CRC-validated crash recovery ("never apply garbage"), the file
+// backend, and end-to-end crash-restart through a cluster in every
+// replication mode.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "binlog/format.h"
 #include "binlog/log_store.h"
 #include "binlog/segmented_log.h"
-#include "binlog/writeset_table.h"
 #include "faults/fault_injector.h"
 #include "middleware/cluster.h"
 #include "obs/recorder.h"
@@ -412,53 +411,6 @@ TEST(SegmentedBinlogTest, WatermarkAndCheckpointSurviveRecovery) {
   EXPECT_EQ(info.value().checkpoint.digests, cp.digests);
   EXPECT_EQ(info.value().meta_watermark, 5u);
   EXPECT_EQ(reopened.Stats().checkpoint_at_us, 1234);
-}
-
-// ---------------------------------------------------------------------------
-// Writeset table
-// ---------------------------------------------------------------------------
-
-engine::Writeset OneRowWrite(int64_t pk, int64_t balance) {
-  engine::Writeset ws;
-  engine::WriteOp op;
-  op.kind = engine::WriteOpKind::kUpdate;
-  op.database = "db";
-  op.table = "t";
-  op.primary_key = sql::Value::Int(pk);
-  op.after = {sql::Value::Int(pk), sql::Value::Int(balance)};
-  ws.ops.push_back(op);
-  return ws;
-}
-
-TEST(WritesetTableTest, CompactedDeltaKeepsOnlyTheLatestImagePerKey) {
-  WritesetTable table;
-  table.Add(1, OneRowWrite(7, 100));
-  table.Add(2, OneRowWrite(7, 200));  // Same row again: supersedes.
-  table.Add(3, OneRowWrite(8, 300));
-  GlobalVersion as_of = 0;
-  engine::Writeset delta = table.CompactedDelta(0, &as_of);
-  EXPECT_EQ(as_of, 3u);
-  ASSERT_EQ(delta.ops.size(), 2u) << "hot row compacted to one image";
-  // Restricted to versions > 2: only the row-8 image qualifies.
-  delta = table.CompactedDelta(2, &as_of);
-  ASSERT_EQ(delta.ops.size(), 1u);
-  EXPECT_EQ(delta.ops[0].primary_key.AsInt(), 8);
-}
-
-TEST(WritesetTableTest, RotateFreezesActiveAndDropsCoveredBuffer) {
-  WritesetTable table;
-  table.Add(1, OneRowWrite(1, 10));
-  table.Rotate(1);  // Active -> immutable.
-  EXPECT_EQ(table.active_keys(), 0u);
-  EXPECT_EQ(table.immutable_keys(), 1u);
-  table.Add(2, OneRowWrite(2, 20));
-  // Both buffers feed the delta; newer images win on overlap.
-  table.Add(3, OneRowWrite(1, 30));
-  engine::Writeset delta = table.CompactedDelta(0);
-  ASSERT_EQ(delta.ops.size(), 2u);
-  table.Rotate(3);  // Previous immutable (v<=1) fully covered: dropped.
-  EXPECT_EQ(table.immutable_keys(), 2u);
-  EXPECT_EQ(table.active_keys(), 0u);
 }
 
 // ---------------------------------------------------------------------------

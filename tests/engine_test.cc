@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "engine/rdbms.h"
 
@@ -536,6 +537,39 @@ TEST_F(EngineTest, BinlogRecordsCommittedTransactions) {
   EXPECT_EQ(e.statements.size(), 2u);
   EXPECT_EQ(e.writeset.ops.size(), 2u);
   EXPECT_EQ(e.session_user, "admin");
+}
+
+TEST_F(EngineTest, TakeBinlogHandsOverCommitsInOrderAndEmptiesOutbox) {
+  MakeAccounts();
+  MustExec("UPDATE accounts SET balance = 1 WHERE id = 1");
+  MustExec("UPDATE accounts SET balance = 2 WHERE id = 2");
+  std::vector<BinlogEntry> taken = db_->TakeBinlog();
+  EXPECT_TRUE(db_->binlog().empty());
+  ASSERT_EQ(taken.size(), 4u) << "CREATE, INSERT and two UPDATEs";
+  for (size_t i = 0; i < taken.size(); ++i) {
+    EXPECT_EQ(taken[i].commit_seq, i + 1) << "commit order";
+  }
+  EXPECT_EQ(taken.back().writeset.ops.at(0).primary_key.AsInt(), 2);
+
+  MustExec("UPDATE accounts SET balance = 3 WHERE id = 3");
+  taken = db_->TakeBinlog();
+  ASSERT_EQ(taken.size(), 1u) << "only commits since the last take";
+  EXPECT_EQ(taken[0].commit_seq, 5u);
+  EXPECT_TRUE(db_->TakeBinlog().empty());
+}
+
+TEST_F(EngineTest, RestoreEmptiesTheCommitOutbox) {
+  MakeAccounts();
+  BackupImage img = db_->Backup(BackupOptions{}).value();
+  Rdbms clone(RdbmsOptions{});
+  Result<SessionId> s = clone.Connect();
+  ASSERT_TRUE(s.ok());
+  ASSERT_TRUE(
+      clone.Execute(s.value(), "CREATE TABLE t (id INT PRIMARY KEY)").ok());
+  clone.Disconnect(s.value());
+  ASSERT_FALSE(clone.binlog().empty());
+  ASSERT_TRUE(clone.Restore(img).ok());
+  EXPECT_TRUE(clone.binlog().empty());
 }
 
 TEST_F(EngineTest, RolledBackTransactionNotInBinlog) {

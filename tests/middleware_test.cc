@@ -611,6 +611,44 @@ TEST(LoadBalancingTest, ReadsSpreadAcrossReplicas) {
   }
 }
 
+// --- Replication log retention --------------------------------------------------
+
+// The durable log is each replica's only retained replication log: every
+// ship tick drains the engine's commit outbox. Sampled once per ship
+// interval, no replica holds more pending commits than it made since the
+// previous sample (each commit takes exactly one commit_seq).
+TEST_P(AllModesTest, EngineHoldsAtMostOneShipIntervalOfCommits) {
+  const sim::Duration interval = 10 * kMillisecond;
+  ClusterOptions opts;
+  opts.controller.mode = GetParam();
+  opts.replica.ship_interval = interval;
+  Cluster c(std::move(opts));
+  workload::MicroWorkload::Options wo;
+  wo.rows = 200;
+  wo.write_fraction = 0.5;
+  workload::MicroWorkload w(wo);
+  c.Setup(w.SetupStatements());
+  c.Start();
+  workload::OpenLoopGenerator gen(&c.sim, c.driver(), &w, /*rate_tps=*/400,
+                                  /*seed=*/3);
+  gen.Arm(c.sim.Now() + 2 * kSecond);
+  std::vector<engine::CommitSeq> prev;
+  for (const auto& r : c.replicas) {
+    prev.push_back(r->engine()->last_commit_seq());
+  }
+  for (int tick = 0; tick < 300; ++tick) {
+    c.sim.RunFor(interval);
+    for (size_t i = 0; i < c.replicas.size(); ++i) {
+      const engine::Rdbms* db = c.replicas[i]->engine();
+      ASSERT_LE(db->binlog().size(), db->last_commit_seq() - prev[i])
+          << "replica " << i + 1 << " at tick " << tick;
+      prev[i] = db->last_commit_seq();
+    }
+  }
+  EXPECT_GT(gen.stats().committed, 300u);
+  EXPECT_TRUE(c.Converged());
+}
+
 // --- End-to-end under load ------------------------------------------------------
 
 TEST(EndToEndTest, TicketBrokerWorkloadRunsCleanAndConverges) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "binlog/segmented_log.h"
 #include "common/hashing.h"
 #include "common/rng.h"
 #include "engine/rdbms.h"
@@ -82,26 +83,37 @@ class MixedWorkload : public workload::Workload {
 };
 
 /// Serialized observable outcome of one run: per-replica commit sequence
-/// (binlog order, statements, conflict keys) and per-replica table digests.
+/// (the durable replication log in log order: versions, statements,
+/// conflict keys), engine commit count and table digests.
 std::string Fingerprint(const Cluster& c) {
   std::ostringstream out;
   for (size_t r = 0; r < c.replicas.size(); ++r) {
     const engine::Rdbms& db = *c.replicas[r]->engine();
     out << "replica " << r << " commits:\n";
-    for (const engine::BinlogEntry& e : db.binlog()) {
-      out << "  seq=" << e.commit_seq;
+    binlog::LogCursor cur = c.replicas[r]->durable_log()->Cursor(0);
+    middleware::ReplicationEntry e;
+    while (cur.Next(&e)) {
+      out << "  v=" << e.version;
       for (const std::string& s : e.statements) out << " stmt{" << s << "}";
       for (const std::string& k : e.writeset.ConflictKeys()) {
         out << " key{" << k << "}";
       }
       out << "\n";
     }
+    out << "  last_commit_seq=" << db.last_commit_seq() << "\n";
     out << "replica " << r << " digests:\n";
     for (const auto& [table, digest] : db.TableDigests()) {
       out << "  " << table << "=" << digest << "\n";
     }
   }
   return out.str();
+}
+
+/// True when a fingerprint's logs hold at least one committed write (a
+/// statement, or row images with conflict keys).
+bool LogsWrites(const std::string& fingerprint) {
+  return fingerprint.find(" stmt{") != std::string::npos ||
+         fingerprint.find(" key{") != std::string::npos;
 }
 
 /// Observable artifacts of one run. The commit fingerprint and the
@@ -229,7 +241,7 @@ TEST_P(SimDeterminismTest, CommitSequenceAndDigestsAreHashSeedInvariant) {
   const ScenarioArtifacts a = RunScenario(GetParam(), 0x00C0FFEEu);
   const ScenarioArtifacts b = RunScenario(GetParam(), 0xFEEDFACEDEADBEEFu);
   ASSERT_FALSE(a.fingerprint.empty());
-  ASSERT_NE(a.fingerprint.find("stmt{"), std::string::npos)
+  ASSERT_TRUE(LogsWrites(a.fingerprint))
       << "scenario must commit some writes";
   EXPECT_EQ(a.fingerprint, b.fingerprint)
       << "commit sequence or table digests changed with the hash seed: an "
@@ -265,7 +277,7 @@ TEST_P(SimDeterminismTest, ParallelApplyIsHashSeedInvariantAndStateSafe) {
   const ScenarioArtifacts b =
       RunScenario(GetParam(), 0xFEEDFACEDEADBEEFu, /*apply_workers=*/4,
                   middleware::ApplyPolicy::kConflictGraph);
-  ASSERT_NE(a.fingerprint.find("stmt{"), std::string::npos)
+  ASSERT_TRUE(LogsWrites(a.fingerprint))
       << "scenario must commit some writes";
   EXPECT_GT(a.overlapped, 0u)
       << "conflict-graph with 4 workers never overlapped two entries — "
@@ -287,8 +299,7 @@ TEST_P(SimDeterminismTest, CrashRestartReplayIsHashSeedInvariant) {
   const std::string b =
       RunCrashRestartScenario(GetParam(), 0xFEEDFACEDEADBEEFu);
   ASSERT_NE(a.find("watermark="), std::string::npos);
-  ASSERT_NE(a.find("stmt{"), std::string::npos)
-      << "scenario must commit some writes";
+  ASSERT_TRUE(LogsWrites(a)) << "scenario must commit some writes";
   EXPECT_EQ(FirstDiffLine(a, b), "")
       << "crash-restart recovery produced different digests, watermarks or "
          "binlog bytes under hash-seed perturbation";
