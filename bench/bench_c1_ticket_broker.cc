@@ -45,6 +45,17 @@ void Run() {
         // Headline configuration for the committed trajectory.
         report.FromStats(stats);
         report.CaptureCluster(*c, stats.committed);
+        // Log frames the master parsed per entry it shipped: about 1 when
+        // each ship tick seeks to its start, hundreds when it rescans.
+        for (const auto& node : c->replicas) {
+          if (node->id() != c->controller->master()) continue;
+          uint64_t shipped = node->entries_shipped();
+          report.Set("ship_frames_per_entry",
+                     shipped > 0 ? static_cast<double>(
+                                       node->DurableLogStats().frames_read) /
+                                       static_cast<double>(shipped)
+                                 : 0.0);
+        }
       }
       table.AddRow({m.label, TablePrinter::Num(offered, 0),
                     TablePrinter::Num(stats.ThroughputTps(), 0),

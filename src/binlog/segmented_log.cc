@@ -47,29 +47,8 @@ Status SegmentedBinlog::AppendRecord(RecordType type,
   return Status::OK();
 }
 
-Status SegmentedBinlog::Append(const middleware::ReplicationEntry& entry,
-                               LogPosition* pos_out) {
-  if (entry.version == 0) {
-    return Status::InvalidArgument("binlog append: version 0");
-  }
-  if (entry.version <= head_version_) return Status::OK();  // Duplicate.
-  LogPosition pos;
-  REPLIDB_RETURN_NOT_OK(
-      AppendRecord(RecordType::kEntry, EncodeEntryPayload(entry),
-                   /*force_sync=*/false, &pos));
-  SegmentInfo& active = segments_.back();
-  if (active.base_version == 0) active.base_version = entry.version;
-  active.last_version = entry.version;
-  head_version_ = entry.version;
-  if (pos_out != nullptr) *pos_out = pos;
-  return Status::OK();
-}
-
-Status SegmentedBinlog::AppendSuperseding(
-    const middleware::ReplicationEntry& entry, LogPosition* pos_out) {
-  if (entry.version == 0) {
-    return Status::InvalidArgument("binlog append: version 0");
-  }
+Status SegmentedBinlog::AppendEntry(const middleware::ReplicationEntry& entry,
+                                    LogPosition* pos_out) {
   LogPosition pos;
   REPLIDB_RETURN_NOT_OK(
       AppendRecord(RecordType::kEntry, EncodeEntryPayload(entry),
@@ -77,9 +56,27 @@ Status SegmentedBinlog::AppendSuperseding(
   SegmentInfo& active = segments_.back();
   if (active.base_version == 0) active.base_version = entry.version;
   active.last_version = std::max(active.last_version, entry.version);
+  active.entries.push_back(EntryFrame{active.last_version, pos.offset});
   head_version_ = std::max(head_version_, entry.version);
   if (pos_out != nullptr) *pos_out = pos;
   return Status::OK();
+}
+
+Status SegmentedBinlog::Append(const middleware::ReplicationEntry& entry,
+                               LogPosition* pos_out) {
+  if (entry.version == 0) {
+    return Status::InvalidArgument("binlog append: version 0");
+  }
+  if (entry.version <= head_version_) return Status::OK();  // Duplicate.
+  return AppendEntry(entry, pos_out);
+}
+
+Status SegmentedBinlog::AppendSuperseding(
+    const middleware::ReplicationEntry& entry, LogPosition* pos_out) {
+  if (entry.version == 0) {
+    return Status::InvalidArgument("binlog append: version 0");
+  }
+  return AppendEntry(entry, pos_out);
 }
 
 Status SegmentedBinlog::AppendCheckpoint(const CheckpointRecord& cp) {
@@ -100,6 +97,7 @@ Result<middleware::ReplicationEntry> SegmentedBinlog::ReadAt(
     return Status::InvalidArgument("binlog read: offset beyond segment");
   }
   RecordView view;
+  ++frames_read_;
   REPLIDB_RETURN_NOT_OK(ParseRecord(
       std::string_view(data.value()).substr(pos.offset), &view));
   if (view.type != RecordType::kEntry) {
@@ -139,6 +137,7 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
     uint64_t offset = 0;
     while (offset < bytes.size()) {
       RecordView view;
+      ++frames_read_;
       Status s = ParseRecord(std::string_view(bytes).substr(offset), &view);
       if (!s.ok()) {
         // First bad frame: the valid log ends here. Truncate the tail so
@@ -158,7 +157,8 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
           break;
         }
         if (si.base_version == 0) si.base_version = entry.value().version;
-        si.last_version = entry.value().version;
+        si.last_version = std::max(si.last_version, entry.value().version);
+        si.entries.push_back(EntryFrame{si.last_version, offset});
         head_version_ = std::max(head_version_, entry.value().version);
       } else {
         Result<CheckpointRecord> cp = DecodeCheckpointPayload(view.payload);
@@ -177,8 +177,8 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
     }
     si.bytes = offset;
     if (si.records > 0 || !log_ended) {
-      segments_.push_back(si);
       info.records += si.records;
+      segments_.push_back(std::move(si));
     } else {
       // Fully-invalid segment: nothing salvageable.
       (void)store_->Delete(seg);
@@ -198,8 +198,10 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
 size_t SegmentedBinlog::TruncateThrough(middleware::GlobalVersion version) {
   size_t dropped = 0;
   while (segments_.size() > 1) {
+    // A front segment without entries (the set-up checkpoint alone) has
+    // an empty version span; only the checkpoint rule below can pin it.
     const SegmentInfo& front = segments_.front();
-    if (front.last_version == 0 || front.last_version > version) break;
+    if (front.last_version > version) break;
     // Never drop the segment holding the latest checkpoint unless a later
     // segment has one: recovery must always find a base image.
     bool later_checkpoint = false;
@@ -243,6 +245,7 @@ BinlogStats SegmentedBinlog::Stats() const {
   if (!segments_.empty()) st.active_segment_bytes = segments_.back().bytes;
   st.last_version = head_version_;
   st.truncate_watermark = truncate_watermark_;
+  st.frames_read = frames_read_;
   if (have_checkpoint_) {
     st.checkpoint_version = latest_checkpoint_.version;
     st.checkpoint_at_us = latest_checkpoint_.taken_at_us;
@@ -259,12 +262,23 @@ LogCursor::LogCursor(const SegmentedBinlog* log,
     : log_(log), after_(after) {
   // Segment-index seek (the bl_ctx idiom): skip whole segments whose
   // entire version span is <= after.
-  while (segment_index_ + 1 < log_->segments_.size()) {
-    const SegmentInfo& s = log_->segments_[segment_index_];
+  const std::vector<SegmentInfo>& segments = log_->segments_;
+  while (segment_index_ + 1 < segments.size()) {
+    const SegmentInfo& s = segments[segment_index_];
     if (s.last_version != 0 && s.last_version > after_) break;
     if (s.last_version == 0 && s.records == 0) break;  // Empty active tail.
     ++segment_index_;
   }
+  if (segment_index_ == segments.size()) return;
+  // Entry-index seek: every frame before the first one whose running max
+  // exceeds `after` is a checkpoint or an entry at or below `after`.
+  const SegmentInfo& seg = segments[segment_index_];
+  auto first = std::upper_bound(
+      seg.entries.begin(), seg.entries.end(), after_,
+      [](middleware::GlobalVersion v, const EntryFrame& f) {
+        return v < f.max_version;
+      });
+  offset_ = first == seg.entries.end() ? seg.bytes : first->offset;
 }
 
 bool LogCursor::Next(middleware::ReplicationEntry* out) {
@@ -278,13 +292,13 @@ bool LogCursor::Next(middleware::ReplicationEntry* out) {
       }
       buffer_ = std::move(data.value());
       buffer_valid_ = true;
-      offset_ = 0;
     }
     // The in-memory index may be ahead of the durable bytes when the
     // store lost an unsynced tail; stop at whichever ends first.
     uint64_t limit = std::min<uint64_t>(buffer_.size(), seg.bytes);
     while (offset_ < limit) {
       RecordView view;
+      ++log_->frames_read_;
       Status s = ParseRecord(std::string_view(buffer_).substr(offset_), &view);
       if (!s.ok()) {
         status_ = s;
@@ -303,6 +317,7 @@ bool LogCursor::Next(middleware::ReplicationEntry* out) {
       return true;
     }
     ++segment_index_;
+    offset_ = 0;
     buffer_valid_ = false;
   }
   return false;

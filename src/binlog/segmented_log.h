@@ -29,16 +29,28 @@ struct LogPosition {
   uint64_t offset = 0;
 };
 
+/// One entry record's place in its segment: the running max of entry
+/// versions through this record, and the record's frame offset.
+struct EntryFrame {
+  middleware::GlobalVersion max_version = 0;
+  uint64_t offset = 0;
+};
+
 /// Bookkeeping for one segment (the bl_ctx-style index/offset pair: the
 /// version span lets truncation and cursor seeks skip whole segments
-/// without reading them).
+/// without reading them, and the entry index lets a cursor seek inside
+/// one).
 struct SegmentInfo {
   uint64_t segment = 0;
   middleware::GlobalVersion base_version = 0;  ///< First entry version, 0 = none.
-  middleware::GlobalVersion last_version = 0;  ///< Last entry version.
+  middleware::GlobalVersion last_version = 0;  ///< Highest entry version.
   uint64_t bytes = 0;
   uint64_t records = 0;
   bool has_checkpoint = false;
+  /// One per entry record, in log order. max_version never decreases, so
+  /// a binary search finds the first frame that can hold a version above
+  /// any bound.
+  std::vector<EntryFrame> entries;
 };
 
 /// Point-in-time log health (SHOW REPLICA STATUS / Prometheus).
@@ -51,6 +63,9 @@ struct BinlogStats {
   middleware::GlobalVersion checkpoint_version = 0;
   int64_t checkpoint_at_us = -1;  ///< -1 = no checkpoint yet.
   middleware::GlobalVersion truncate_watermark = 0;
+  /// Frames parsed since construction by cursors, ReadAt and Recover: a
+  /// deterministic measure of read work.
+  uint64_t frames_read = 0;
 };
 
 /// What Recover() found on disk.
@@ -74,6 +89,9 @@ class SegmentedBinlog;
 /// \brief Forward iterator over entry records with version > `after`,
 /// decoding frames straight from the LogStore segment bytes (shipping and
 /// resync read the log through this — never through in-memory vectors).
+/// Construction seeks through the segment and entry indexes, so a cursor
+/// parses only the frames from the first one that can hold a version
+/// above `after`.
 class LogCursor {
  public:
   /// Advances to the next entry; false at end-of-log or on a decode error
@@ -88,7 +106,7 @@ class LogCursor {
   const SegmentedBinlog* log_ = nullptr;
   middleware::GlobalVersion after_ = 0;
   size_t segment_index_ = 0;  ///< Index into log_->segments_.
-  uint64_t offset_ = 0;
+  uint64_t offset_ = 0;       ///< Next frame in the current segment.
   std::string buffer_;        ///< Current segment's bytes.
   bool buffer_valid_ = false;
   Status status_;
@@ -132,13 +150,14 @@ class SegmentedBinlog {
 
   /// Scans every segment, validates CRCs, truncates the log at the first
   /// bad frame (and drops everything after it), rebuilds the in-memory
-  /// segment index, and returns the latest valid checkpoint. Call after
-  /// a crash, before reading.
+  /// segment and entry indexes, and returns the latest valid checkpoint.
+  /// Call after a crash, before reading.
   Result<RecoveryInfo> Recover();
 
   /// Deletes sealed segments whose entire version span is <= `version`
   /// (segment-granular GC: a segment straddling the watermark survives).
-  /// Returns the number of records dropped.
+  /// A segment holding the latest checkpoint survives until a later
+  /// segment holds one too. Returns the number of records dropped.
   size_t TruncateThrough(middleware::GlobalVersion version);
 
   /// Persists the caller's apply watermark in the store's meta area.
@@ -163,6 +182,9 @@ class SegmentedBinlog {
 
   Status AppendRecord(RecordType type, const std::string& payload,
                       bool force_sync, LogPosition* pos_out);
+  /// Appends an entry record and indexes it; no version checks.
+  Status AppendEntry(const middleware::ReplicationEntry& entry,
+                     LogPosition* pos_out);
   Status RollOver();
 
   LogStore* store_;
@@ -173,6 +195,7 @@ class SegmentedBinlog {
   CheckpointRecord latest_checkpoint_;
   bool have_checkpoint_ = false;
   uint64_t next_segment_ = 0;
+  mutable uint64_t frames_read_ = 0;
 };
 
 }  // namespace replidb::binlog

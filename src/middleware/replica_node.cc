@@ -901,6 +901,7 @@ void ReplicaNode::ShipCommitted(int sync_acks_for_version,
     binlog::LogCursor cur = durable_log_->Cursor(last_shipped_);
     ReplicationEntry entry;
     while (cur.Next(&entry)) {
+      ++entries_shipped_;
       last_shipped_ = std::max<GlobalVersion>(last_shipped_, entry.version);
       if (entry.origin_commit_us <= 0) entry.origin_commit_us = sim_->Now();
       bool ack = entry.version == sync_version;

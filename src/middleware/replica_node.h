@@ -113,8 +113,11 @@ class ReplicaNode {
   /// e.g. loading the initial schema identically on every replica.
   engine::ExecResult AdminExec(const std::string& sql);
 
-  /// Number of entries shipped to subscribers so far.
+  /// Highest version shipped to subscribers so far.
   GlobalVersion shipped_version() const { return last_shipped_; }
+  /// Entries the ship cursor has handed to the pipeline so far (once per
+  /// entry, however many subscribers it goes to).
+  uint64_t entries_shipped() const { return entries_shipped_; }
 
   /// Versions queued in the ordered stream but not yet applied (lag in
   /// entries; the paper's master/slave lag, §2.2).
@@ -298,6 +301,7 @@ class ReplicaNode {
   // Master shipping.
   std::vector<net::NodeId> subscribers_;
   GlobalVersion last_shipped_ = 0;
+  uint64_t entries_shipped_ = 0;
   std::unique_ptr<sim::PeriodicTask> ship_task_;
   // 2-safe bookkeeping: version -> (acks outstanding, reply closure).
   struct PendingSync {

@@ -21,24 +21,44 @@ EventId Simulator::Schedule(Duration delay, std::function<void()> fn) {
 
 EventId Simulator::ScheduleAt(TimePoint when, std::function<void()> fn) {
   if (when < now_) when = now_;
-  EventId id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id, std::move(fn)});
-  return id;
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].queued = true;
+  queue_.push(Event{when, next_seq_++, slot, std::move(fn)});
+  return (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
 }
 
 void Simulator::Cancel(EventId id) {
-  if (id != 0) cancelled_.insert(id);
+  uint64_t slot = id & 0xffffffffu;
+  if (slot >= slots_.size()) return;
+  Slot& s = slots_[slot];
+  if (!s.queued || s.cancelled || s.generation != (id >> 32)) return;
+  s.cancelled = true;
+  ++cancelled_queued_;
+}
+
+bool Simulator::ReleaseSlot(uint32_t slot) {
+  Slot& s = slots_[slot];
+  bool cancelled = s.cancelled;
+  if (cancelled) --cancelled_queued_;
+  s.queued = false;
+  s.cancelled = false;
+  if (++s.generation == 0) s.generation = 1;
+  free_slots_.push_back(slot);
+  return cancelled;
 }
 
 bool Simulator::Step() {
   while (!queue_.empty()) {
     Event ev = queue_.top();
     queue_.pop();
-    auto it = cancelled_.find(ev.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
+    if (ReleaseSlot(ev.slot)) continue;
     now_ = ev.when;
     ++events_executed_;
     ev.fn();
@@ -60,14 +80,15 @@ void Simulator::RunUntil(TimePoint deadline) {
     bool executed = false;
     while (!queue_.empty()) {
       const Event& head = queue_.top();
-      if (cancelled_.count(head.id)) {
-        cancelled_.erase(head.id);
+      if (slots_[head.slot].cancelled) {
+        ReleaseSlot(head.slot);
         queue_.pop();
         continue;
       }
       if (head.when > deadline) break;
       Event ev = queue_.top();
       queue_.pop();
+      ReleaseSlot(ev.slot);
       now_ = ev.when;
       ++events_executed_;
       ev.fn();

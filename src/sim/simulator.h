@@ -6,8 +6,6 @@
 #include <queue>
 #include <vector>
 
-#include "common/hashing.h"
-
 namespace replidb::sim {
 
 /// Simulated time in microseconds since experiment start.
@@ -27,7 +25,9 @@ inline double ToSeconds(Duration d) { return static_cast<double>(d) / kSecond; }
 /// Converts simulated time to milliseconds as a double (for reporting).
 inline double ToMillis(Duration d) { return static_cast<double>(d) / kMillisecond; }
 
-/// Handle for cancelling a scheduled event. 0 is never a valid id.
+/// Handle for cancelling a scheduled event: the event's slot in the low
+/// 32 bits and the slot's generation (never 0) in the high 32, so 0 is
+/// never a valid id and a stale id never matches a reused slot.
 using EventId = uint64_t;
 
 /// \brief Deterministic discrete-event simulator.
@@ -56,7 +56,8 @@ class Simulator {
   /// Schedules `fn` at absolute virtual time `when` (clamped to Now()).
   EventId ScheduleAt(TimePoint when, std::function<void()> fn);
 
-  /// Cancels a pending event; no-op if already fired or cancelled.
+  /// Cancels a pending event; no-op (leaving no state behind) if the id
+  /// already fired, was cancelled, or was never issued.
   void Cancel(EventId id);
 
   /// Runs events until the queue is empty or `StopRequested`.
@@ -79,14 +80,21 @@ class Simulator {
   uint64_t events_executed() const { return events_executed_; }
 
   /// Number of events currently pending.
-  size_t pending_events() const { return queue_.size() - cancelled_.size(); }
+  size_t pending_events() const { return queue_.size() - cancelled_queued_; }
 
  private:
   struct Event {
     TimePoint when;
     uint64_t seq;  // Tie-breaker: FIFO among same-time events.
-    EventId id;
+    uint32_t slot;
     std::function<void()> fn;
+  };
+  /// State of one event id while its event sits in the queue. A slot is
+  /// recycled when its event leaves the queue, fired or skipped.
+  struct Slot {
+    uint32_t generation = 1;
+    bool queued = false;
+    bool cancelled = false;
   };
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
@@ -95,13 +103,18 @@ class Simulator {
     }
   };
 
+  /// Frees the slot of an event that just left the queue; true when the
+  /// event had been cancelled (skip it).
+  bool ReleaseSlot(uint32_t slot);
+
   TimePoint now_ = 0;
   uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
   uint64_t events_executed_ = 0;
   bool stop_requested_ = false;
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-  HashSet<EventId> cancelled_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
+  size_t cancelled_queued_ = 0;  ///< Cancelled events still in queue_.
 };
 
 /// \brief Repeating task helper (heartbeats, pollers, batch shippers).

@@ -8,11 +8,14 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "binlog/format.h"
 #include "binlog/log_store.h"
 #include "binlog/segmented_log.h"
+#include "common/rng.h"
 #include "faults/fault_injector.h"
 #include "middleware/cluster.h"
 #include "obs/recorder.h"
@@ -270,6 +273,132 @@ TEST(SegmentedBinlogTest, CursorSkipsCheckpointsAndSeeksPastSegments) {
       << "entries only, in order, strictly after the start version";
 }
 
+/// Every entry record in the store, by a full frame-by-frame scan of each
+/// segment in order: the reference a seeking cursor must agree with.
+std::vector<ReplicationEntry> ScanAllEntries(const LogStore& store) {
+  std::vector<ReplicationEntry> out;
+  for (uint64_t seg : store.List()) {
+    Result<std::string> data = store.Read(seg);
+    EXPECT_TRUE(data.ok());
+    if (!data.ok()) continue;
+    std::string_view bytes = data.value();
+    size_t offset = 0;
+    while (offset < bytes.size()) {
+      RecordView view;
+      Status st = ParseRecord(bytes.substr(offset), &view);
+      EXPECT_TRUE(st.ok()) << "segment " << seg << " offset " << offset;
+      if (!st.ok()) break;
+      offset += view.frame_bytes;
+      if (view.type != RecordType::kEntry) continue;
+      Result<ReplicationEntry> e = DecodeEntryPayload(view.payload);
+      EXPECT_TRUE(e.ok());
+      if (e.ok()) out.push_back(e.TakeValue());
+    }
+  }
+  return out;
+}
+
+/// Cursor(after) for every `after` in [0, head + 1] matches the reference
+/// scan filtered to versions > after, in log order.
+void ExpectCursorsMatchScan(const SegmentedBinlog& log,
+                            const LogStore& store) {
+  const std::vector<ReplicationEntry> all = ScanAllEntries(store);
+  for (GlobalVersion after = 0; after <= log.head_version() + 1; ++after) {
+    std::vector<std::pair<GlobalVersion, std::string>> want, got;
+    for (const ReplicationEntry& e : all) {
+      if (e.version > after) want.emplace_back(e.version, e.statements[0]);
+    }
+    LogCursor cur = log.Cursor(after);
+    ReplicationEntry e;
+    while (cur.Next(&e)) got.emplace_back(e.version, e.statements[0]);
+    ASSERT_TRUE(cur.status().ok()) << cur.status().ToString();
+    ASSERT_EQ(got, want) << "Cursor(" << after << ")";
+  }
+}
+
+TEST(SegmentedBinlogTest, SeekingCursorMatchesAFullScanOracle) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    MemLogStore store;
+    SegmentedLogOptions opts;
+    opts.segment_max_bytes = static_cast<int64_t>(3 * FrameBytes(Entry(1)));
+    auto log = std::make_unique<SegmentedBinlog>(&store, opts);
+    uint64_t rewrites = 0;
+    for (int op = 0; op < 300; ++op) {
+      uint64_t pick = rng.Uniform(100);
+      bool check = op % 20 == 0;
+      GlobalVersion head = log->head_version();
+      if (pick < 55) {
+        // Appends, sometimes with version gaps.
+        ASSERT_TRUE(log->Append(Entry(head + 1 + rng.Uniform(3))).ok());
+      } else if (pick < 70) {
+        // A superseding rewrite at or below the head (or just above it).
+        ReplicationEntry e = Entry(1 + rng.Uniform(head + 2));
+        e.statements = {"REWRITE " + std::to_string(++rewrites)};
+        ASSERT_TRUE(log->AppendSuperseding(e).ok());
+      } else if (pick < 80) {
+        CheckpointRecord cp;
+        cp.version = head;
+        ASSERT_TRUE(log->AppendCheckpoint(cp).ok());
+      } else if (pick < 90) {
+        log->TruncateThrough(rng.Uniform(head + 1));
+        check = true;
+      } else {
+        // Crash mid-append: a torn tail, then recovery into a new object.
+        store.InjectTornWrite(1 + rng.Uniform(FrameBytes(Entry(head + 1))));
+        ASSERT_TRUE(log->Append(Entry(head + 1)).ok());
+        log = std::make_unique<SegmentedBinlog>(&store, opts);
+        ASSERT_TRUE(log->Recover().ok());
+        check = true;
+      }
+      if (check) ExpectCursorsMatchScan(*log, store);
+      if (HasFatalFailure()) return;
+    }
+    ExpectCursorsMatchScan(*log, store);
+    if (HasFatalFailure()) return;
+
+    // A cursor one below the head parses O(1) frames, however long the
+    // active segment and the log are.
+    GlobalVersion head = log->head_version();
+    ASSERT_TRUE(log->Append(Entry(head + 1)).ok());
+    ASSERT_TRUE(log->Append(Entry(head + 2)).ok());
+    uint64_t before = log->Stats().frames_read;
+    LogCursor cur = log->Cursor(head + 1);
+    ReplicationEntry e;
+    std::vector<GlobalVersion> seen;
+    while (cur.Next(&e)) seen.push_back(e.version);
+    EXPECT_EQ(seen, (std::vector<GlobalVersion>{head + 2}));
+    EXPECT_LE(log->Stats().frames_read - before, 1u);
+  }
+}
+
+TEST(SegmentedBinlogTest, ShipTickCursorParsesOnlyTheFramesItShips) {
+  // One big active segment, as on a master with sparse writes: a cursor at
+  // the shipped watermark must not rescan the segment from offset 0.
+  MemLogStore store;
+  SegmentedBinlog log(&store, SegmentedLogOptions{});
+  CheckpointRecord setup;
+  ASSERT_TRUE(log.AppendCheckpoint(setup).ok());
+  for (GlobalVersion v = 1; v <= 500; ++v) {
+    ASSERT_TRUE(log.Append(Entry(v)).ok());
+  }
+  ASSERT_EQ(log.segments().size(), 1u);
+  uint64_t before = log.Stats().frames_read;
+  LogCursor cur = log.Cursor(495);
+  ReplicationEntry e;
+  std::vector<GlobalVersion> seen;
+  while (cur.Next(&e)) seen.push_back(e.version);
+  EXPECT_EQ(seen, (std::vector<GlobalVersion>{496, 497, 498, 499, 500}));
+  EXPECT_EQ(log.Stats().frames_read - before, 5u);
+  // ReadAt parses exactly one frame.
+  LogPosition pos;
+  ASSERT_TRUE(log.Append(Entry(501), &pos).ok());
+  before = log.Stats().frames_read;
+  ASSERT_TRUE(log.ReadAt(pos).ok());
+  EXPECT_EQ(log.Stats().frames_read - before, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Recovery: CRC truncation, torn writes, partial fsync
 // ---------------------------------------------------------------------------
@@ -391,6 +520,46 @@ TEST(SegmentedBinlogTest, TruncationNeverDropsTheLatestCheckpointSegment) {
   EXPECT_GT(dropped2, 0u) << "old checkpoint segment now droppable";
   ASSERT_FALSE(log.segments().empty()) << "at least one segment always kept";
   EXPECT_NE(log.segments().front().segment, cp_segment);
+}
+
+TEST(SegmentedBinlogTest, TruncationDropsACheckpointOnlyFrontSegment) {
+  // A replica's log starts with its set-up checkpoint alone in segment 0.
+  MemLogStore store;
+  const size_t frame = FrameBytes(Entry(1));
+  SegmentedLogOptions opts;
+  opts.segment_max_bytes = static_cast<int64_t>(2 * frame);
+  SegmentedBinlog log(&store, opts);
+  CheckpointRecord setup;
+  setup.version = 0;
+  setup.image.source_name = std::string(2 * frame, 'x');  // Seals segment 0.
+  ASSERT_TRUE(log.AppendCheckpoint(setup).ok());
+  for (GlobalVersion v = 1; v <= 6; ++v) ASSERT_TRUE(log.Append(Entry(v)).ok());
+  ASSERT_EQ(log.segments().front().last_version, 0u);
+  ASSERT_TRUE(log.segments().front().has_checkpoint);
+  const uint64_t setup_segment = log.segments().front().segment;
+  // While it holds the only checkpoint, it pins the whole log.
+  EXPECT_EQ(log.TruncateThrough(6), 0u);
+  EXPECT_EQ(log.segments().front().segment, setup_segment);
+
+  CheckpointRecord cp;
+  cp.version = 6;
+  ASSERT_TRUE(log.AppendCheckpoint(cp).ok());
+  for (GlobalVersion v = 7; v <= 8; ++v) ASSERT_TRUE(log.Append(Entry(v)).ok());
+  size_t dropped = log.TruncateThrough(6);
+  EXPECT_EQ(dropped, 1u + 6u) << "set-up checkpoint and v1..6 collected";
+  ASSERT_FALSE(log.segments().empty());
+  EXPECT_NE(log.segments().front().segment, setup_segment);
+  EXPECT_EQ(store.List().front(), log.segments().front().segment);
+  // The newest checkpoint always survives, and recovery still finds it.
+  bool newest_kept = false;
+  for (const SegmentInfo& s : log.segments()) newest_kept |= s.has_checkpoint;
+  EXPECT_TRUE(newest_kept);
+  SegmentedBinlog reopened(&store, opts);
+  Result<RecoveryInfo> info = reopened.Recover();
+  ASSERT_TRUE(info.ok());
+  EXPECT_TRUE(info.value().have_checkpoint);
+  EXPECT_EQ(info.value().checkpoint.version, 6u);
+  EXPECT_EQ(info.value().last_version, 8u);
 }
 
 TEST(SegmentedBinlogTest, WatermarkAndCheckpointSurviveRecovery) {

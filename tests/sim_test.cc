@@ -66,6 +66,72 @@ TEST(SimulatorTest, CancelAfterFireIsNoop) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(SimulatorTest, StaleCancelsLeaveNoStateAndPendingCountIsExact) {
+  Simulator sim;
+  int fired = 0;
+  EventId id = sim.Schedule(10, [&] { ++fired; });
+  sim.RunFor(20);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.Cancel(id);  // Already fired.
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.Cancel(id + 1);       // Never issued.
+  sim.Cancel(~EventId{0});  // Out of range.
+  EXPECT_EQ(sim.pending_events(), 0u);
+
+  // The fired event's slot is reused: its stale id must not cancel the
+  // new event that now occupies the slot.
+  EventId next = sim.Schedule(10, [&] { ++fired; });
+  EXPECT_NE(next, id);
+  sim.Cancel(id);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Cancel(next);
+  sim.Cancel(next);  // Double cancel counts once.
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, CancelFromInsideTheFiringEventIsANoOp) {
+  // The controller's timeout path cancels its own timer while it fires.
+  Simulator sim;
+  int fired = 0;
+  EventId self = 0;
+  self = sim.Schedule(5, [&] {
+    ++fired;
+    sim.Cancel(self);
+    sim.Schedule(5, [&] { ++fired; });
+  });
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, PendingCountTracksMixedCancelsInTimeOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 20; ++i) {
+    ids.push_back(
+        sim.Schedule(100 - i % 5, [&order, i] { order.push_back(i); }));
+  }
+  for (int i = 0; i < 20; i += 3) sim.Cancel(ids[static_cast<size_t>(i)]);
+  EXPECT_EQ(sim.pending_events(), 13u);
+  sim.RunUntil(97);
+  EXPECT_EQ(sim.pending_events(), 8u);
+  for (EventId id : ids) sim.Cancel(id);  // Fired, cancelled or pending.
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.Run();
+  // (when, seq) order among the survivors that ran before the cancels.
+  std::vector<int> expected;
+  for (int when = 96; when <= 97; ++when) {
+    for (int i = 0; i < 20; ++i) {
+      if (i % 3 != 0 && 100 - i % 5 == when) expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(order, expected);
+}
+
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   Simulator sim;
   int fired = 0;

@@ -189,6 +189,9 @@ constexpr Rule kRules[] = {
     {"quorum_writes_refused", Direction::kStable, 0.0, 0.0},
     {"diverged_after_heal", Direction::kLowerBetter, 0.0, 0.0},
     {"bytes_per_txn", Direction::kLowerBetter, 0.10, 64.0},
+    // Deterministic work counter: log frames parsed per shipped entry.
+    // About 1 when ship cursors seek; a rescan multiplies it.
+    {"frames_per_entry", Direction::kLowerBetter, 0.05, 0.1},
     {"abort_pct", Direction::kLowerBetter, 0.20, 1.0},
     {"peak_lag", Direction::kLowerBetter, 0.25, 50.0},
     {"final_lag", Direction::kLowerBetter, 0.25, 50.0},
@@ -407,6 +410,14 @@ int SelfTest() {
   }
   if (!CompareMetric("peak_lag", 40, 120, opt).regressed) {
     return Fail("lag blowup undetected");
+  }
+  // Frames per shipped entry has a tight band: 1.0 -> 1.1 passes, a
+  // cursor rescan (1.0 -> 1.5 and up) fails.
+  if (CompareMetric("ship_frames_per_entry", 1.0, 1.1, opt).regressed) {
+    return Fail("frames_per_entry band too tight");
+  }
+  if (!CompareMetric("ship_frames_per_entry", 1.0, 1.5, opt).regressed) {
+    return Fail("frames_per_entry rise undetected");
   }
   // Wall-clock metric never fails.
   if (CompareMetric("events_per_sec", 5e6, 1.0, opt).regressed) {
