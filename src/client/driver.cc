@@ -111,7 +111,7 @@ void Driver::Send(uint64_t req_id) {
 }
 
 void Driver::HandleReply(const net::Message& m) {
-  auto reply = std::any_cast<ClientTxnReply>(m.body);
+  const auto& reply = std::any_cast<const ClientTxnReply&>(m.body);
   auto it = outstanding_.find(reply.req_id);
   if (it == outstanding_.end()) return;  // Timed-out request, late reply.
   Outstanding& out = it->second;

@@ -1026,6 +1026,7 @@ const Writeset* Rdbms::CurrentWriteset(SessionId session) const {
 }
 
 ExecResult Rdbms::Execute(SessionId session, const std::string& sql_text) {
+  ++stats_.statements_parsed;
   Result<sql::Statement> parsed = sql::Parse(sql_text);
   if (!parsed.ok()) {
     ExecResult r;
@@ -1129,6 +1130,18 @@ ExecResult Rdbms::ExecuteStmt(SessionId session, const sql::Statement& stmt) {
     result.cost_us += static_cast<int64_t>(options_.cost_model.commit_us);
   }
   return result;
+}
+
+ExecResult Rdbms::Begin(SessionId session) {
+  return ExecuteStmt(session, sql::Statement{sql::BeginStmt{}});
+}
+
+ExecResult Rdbms::Commit(SessionId session) {
+  return ExecuteStmt(session, sql::Statement{sql::CommitStmt{}});
+}
+
+ExecResult Rdbms::Rollback(SessionId session) {
+  return ExecuteStmt(session, sql::Statement{sql::RollbackStmt{}});
 }
 
 Status Rdbms::BeginTxn(Session* session, bool explicit_txn) {

@@ -103,6 +103,7 @@ struct RdbmsStats {
   uint64_t transactions_committed = 0;
   uint64_t transactions_aborted = 0;
   uint64_t statements_executed = 0;
+  uint64_t statements_parsed = 0;  ///< SQL texts parsed by Execute(text).
   uint64_t statement_errors = 0;
   uint64_t conflicts = 0;   ///< SI first-updater-wins aborts.
   uint64_t deadlocks = 0;   ///< No-wait lock conflicts.
@@ -153,8 +154,15 @@ class Rdbms {
   ExecResult Execute(SessionId session, const std::string& sql);
 
   /// Executes a pre-parsed statement (the text is re-serialized for the
-  /// binlog when needed).
+  /// binlog when needed). The statement is only read, so one parsed
+  /// statement can run any number of times, on any number of engines.
   ExecResult ExecuteStmt(SessionId session, const sql::Statement& stmt);
+
+  /// Transaction control without a parse: the same ExecuteStmt branches
+  /// (and costs) as Execute("BEGIN"), Execute("COMMIT"), Execute("ROLLBACK").
+  ExecResult Begin(SessionId session);
+  ExecResult Commit(SessionId session);
+  ExecResult Rollback(SessionId session);
 
   /// Session isolation control.
   Status SetIsolation(SessionId session, IsolationLevel level);

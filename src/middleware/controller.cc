@@ -482,7 +482,7 @@ const Controller::ReplicaInfo* Controller::Info(net::NodeId replica) const {
 
 void Controller::HandleClientTxn(const net::Message& m) {
   if (crashed_) return;
-  auto msg = std::any_cast<ClientTxnMsg>(m.body);
+  const auto& msg = std::any_cast<const ClientTxnMsg&>(m.body);
   if (passive_) {
     ClientTxnReply reply;
     reply.req_id = msg.req_id;
@@ -515,16 +515,22 @@ void Controller::HandleClientTxn(const net::Message& m) {
   p.arrived = sim_->Now();
   p.request = msg.request;
 
-  // Classify: trust read_only only if no statement parses as a write.
+  // Parse once. The same statements classify the request (trust
+  // read_only only if no statement is a write or unparsable), name its
+  // tables, and run on the replica that executes it.
   p.is_write = !msg.request.read_only;
-  if (!p.is_write) {
-    for (const std::string& stmt : msg.request.statements) {
-      Result<sql::Statement> parsed = sql::Parse(stmt);
-      if (!parsed.ok() || parsed.value().IsWrite()) {
-        p.is_write = true;
-        break;
-      }
+  p.parsed.reserve(msg.request.statements.size());
+  for (const std::string& text : msg.request.statements) {
+    ++stats_.statements_parsed;
+    Result<sql::Statement> parsed = sql::Parse(text);
+    if (!parsed.ok()) {
+      p.is_write = true;
+      p.parsed.push_back(nullptr);
+      continue;
     }
+    if (parsed.value().IsWrite()) p.is_write = true;
+    p.parsed.push_back(
+        std::make_shared<const sql::Statement>(parsed.TakeValue()));
   }
 
   ++stats_.txns_total;
@@ -549,7 +555,7 @@ void Controller::HandleClientTxn(const net::Message& m) {
       p.min_version = global_version_;
       break;
   }
-  p.tables = ExtractTables(msg.request);
+  p.tables = ExtractTables(p.parsed);
 
   auto [it, inserted] = pending_.emplace(req, std::move(p));
   (void)inserted;
@@ -604,12 +610,12 @@ sim::TimePoint Controller::ChargeProcessing(size_t statements,
   return *worker;
 }
 
-std::vector<std::string> Controller::ExtractTables(const TxnRequest& request) {
+std::vector<std::string> Controller::ExtractTables(
+    const ParsedStatements& parsed) {
   std::vector<std::string> tables;
-  for (const std::string& stmt : request.statements) {
-    Result<sql::Statement> parsed = sql::Parse(stmt);
-    if (!parsed.ok()) continue;
-    const sql::TableRef* ref = parsed.value().TargetTable();
+  for (const auto& stmt : parsed) {
+    if (stmt == nullptr) continue;
+    const sql::TableRef* ref = stmt->TargetTable();
     if (ref == nullptr) continue;
     std::string key = ref->ToString();
     if (std::find(tables.begin(), tables.end(), key) == tables.end()) {
@@ -734,6 +740,7 @@ void Controller::RouteRead(Pending* p) {
   ExecTxnMsg msg;
   msg.req_id = p->req_id;
   msg.statements = p->request.statements;
+  msg.parsed = p->parsed;
   msg.read_only = true;
   msg.min_version = p->min_version;
   msg.tables = p->tables;
@@ -809,6 +816,7 @@ void Controller::RouteWriteMasterSlave(Pending* p) {
   ExecTxnMsg msg;
   msg.req_id = p->req_id;
   msg.statements = p->request.statements;
+  msg.parsed = p->parsed;
   msg.read_only = false;
   msg.tables = p->tables;
   msg.trace_id = p->request.trace.id;
@@ -834,6 +842,8 @@ Status Controller::PrepareStatements(Pending* p) {
   bool unsafe = false;
   std::vector<std::string> reasons;
   for (const std::string& text : p->request.statements) {
+    // The rewrite mutates its statement, so it parses its own copy.
+    ++stats_.statements_parsed;
     Result<sql::Statement> parsed = sql::Parse(text);
     if (!parsed.ok()) {
       // Opaque statement: cannot rewrite; broadcast raw.
@@ -929,6 +939,7 @@ void Controller::RouteWriteCertification(Pending* p) {
   ExecTxnMsg msg;
   msg.req_id = p->req_id;
   msg.statements = p->request.statements;
+  msg.parsed = p->parsed;
   msg.read_only = false;
   msg.hold_commit = true;
   msg.tables = p->tables;
@@ -942,7 +953,7 @@ void Controller::RouteWriteCertification(Pending* p) {
 
 void Controller::HandleExecReply(const net::Message& m) {
   if (crashed_) return;
-  auto reply = std::any_cast<ExecTxnReply>(m.body);
+  const auto& reply = std::any_cast<const ExecTxnReply&>(m.body);
   auto it = pending_.find(reply.req_id);
   if (it == pending_.end()) return;  // Timed out earlier.
   Pending* p = &it->second;
@@ -954,7 +965,7 @@ void Controller::HandleExecReply(const net::Message& m) {
   if (!p->is_write) {
     TxnResult result;
     result.status = reply.status;
-    result.rows = std::move(reply.rows);
+    result.rows = reply.rows;
     uint64_t staleness =
         global_version_ > reply.replica_applied_version
             ? global_version_ - reply.replica_applied_version
@@ -1597,22 +1608,30 @@ void Controller::UpgradeNext(std::vector<net::NodeId> remaining,
     info2->node->set_software_version(target_version);
     info2->node->Restart();
     StartResync(target);
-    // Wait for the rejoin to finish, then move to the next node.
-    auto poll = std::make_shared<std::function<void()>>();
-    *poll = [this, target, remaining, target_version, upgrade_duration,
-             on_done, poll] {
-      ReplicaInfo* info3 = Info(target);
-      if (info3 == nullptr) {
-        if (on_done) on_done(Status::NotFound("replica vanished mid-upgrade"));
-        return;
-      }
-      if (info3->state != ReplicaState::kOnline) {
-        sim_->Schedule(200 * sim::kMillisecond, *poll);
-        return;
-      }
-      UpgradeNext(remaining, target_version, upgrade_duration, on_done);
-    };
-    sim_->Schedule(200 * sim::kMillisecond, *poll);
+    AwaitUpgradeRejoin(target, remaining, target_version, upgrade_duration,
+                       on_done);
+  });
+}
+
+void Controller::AwaitUpgradeRejoin(net::NodeId target,
+                                    std::vector<net::NodeId> remaining,
+                                    int target_version,
+                                    sim::Duration upgrade_duration,
+                                    std::function<void(Status)> on_done) {
+  sim_->Schedule(200 * sim::kMillisecond, [this, target, remaining,
+                                           target_version, upgrade_duration,
+                                           on_done] {
+    ReplicaInfo* info = Info(target);
+    if (info == nullptr) {
+      if (on_done) on_done(Status::NotFound("replica vanished mid-upgrade"));
+      return;
+    }
+    if (info->state != ReplicaState::kOnline) {
+      AwaitUpgradeRejoin(target, remaining, target_version, upgrade_duration,
+                         on_done);
+      return;
+    }
+    UpgradeNext(remaining, target_version, upgrade_duration, on_done);
   });
 }
 

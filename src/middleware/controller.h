@@ -141,6 +141,9 @@ struct ControllerStats {
   uint64_t failovers = 0;
   uint64_t lost_transactions = 0;  ///< Acked commits missing after failover.
   uint64_t resyncs_completed = 0;
+  /// Client statement texts parsed: one per statement on arrival, plus
+  /// statement mode's rewrite parse.
+  uint64_t statements_parsed = 0;
 };
 
 /// \brief The replication middleware controller ("database replication
@@ -271,6 +274,9 @@ class Controller {
     sim::TimePoint arrived = 0;  ///< When the controller received it.
     sim::TimePoint routed = 0;   ///< When parse/route finished.
     TxnRequest request;
+    /// The one parse of request.statements (null where a text did not
+    /// parse); routing reads it and the executing replica runs it.
+    ParsedStatements parsed;
     GlobalVersion min_version = 0;
     bool is_write = false;
     net::NodeId target = -1;          ///< Replica executing it.
@@ -303,8 +309,9 @@ class Controller {
   /// Parses/analyzes/rewrites statements for statement replication.
   /// Returns non-OK when policy forbids broadcasting.
   Status PrepareStatements(Pending* p);
-  /// Extracts the set of table names a transaction touches (best effort).
-  std::vector<std::string> ExtractTables(const TxnRequest& request);
+  /// The distinct tables a parsed transaction targets (best effort:
+  /// unparsed statements and CALL name none).
+  static std::vector<std::string> ExtractTables(const ParsedStatements& parsed);
 
   /// Picks a read replica per LB policy and consistency constraints.
   net::NodeId PickReadReplica(const Pending& p);
@@ -397,6 +404,12 @@ class Controller {
   void UpgradeNext(std::vector<net::NodeId> remaining, int target_version,
                    sim::Duration upgrade_duration,
                    std::function<void(Status)> on_done);
+  /// Polls every 200 ms until the upgraded `target` is online again,
+  /// then upgrades the next replica in `remaining`.
+  void AwaitUpgradeRejoin(net::NodeId target,
+                          std::vector<net::NodeId> remaining,
+                          int target_version, sim::Duration upgrade_duration,
+                          std::function<void(Status)> on_done);
   uint64_t next_req_ = 1;
   size_t round_robin_ = 0;
   sim::TimePoint busy_until_ = 0;

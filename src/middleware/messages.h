@@ -2,6 +2,7 @@
 #define REPLIDB_MIDDLEWARE_MESSAGES_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "engine/rdbms.h"
 #include "engine/types.h"
 #include "middleware/common.h"
+#include "sql/ast.h"
 
 namespace replidb::middleware {
 
@@ -40,10 +42,22 @@ inline constexpr int64_t kControlWireBytes = 64;    ///< Finish/abort/barrier fr
 inline constexpr int64_t kAdminWireBytes = 128;     ///< Backup/restore admin + error replies.
 inline constexpr int64_t kRowsReplyWireBytes = 256; ///< Client replies carrying rows.
 
+/// One parsed statement per SQL text, null where the text did not parse.
+/// The statements are immutable, so every holder shares one parse.
+using ParsedStatements = std::vector<std::shared_ptr<const sql::Statement>>;
+
 /// Controller -> replica: execute a transaction.
 struct ExecTxnMsg {
   uint64_t req_id = 0;
+  /// SQL texts: the wire size, the binlog, statement mode and recovery
+  /// all use them.
   std::vector<std::string> statements;
+  /// The controller's parse of `statements` (same order). The replica
+  /// executes these instead of parsing the text again; it falls back to
+  /// the text where an entry is null or the vector is empty (statement
+  /// mode ships rewritten text and no parse). In-process only: not part
+  /// of the modelled wire size.
+  ParsedStatements parsed;
   bool read_only = false;
   /// Ordered execution slot for statement-mode writes; 0 = unordered.
   GlobalVersion order = 0;

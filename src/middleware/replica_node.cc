@@ -265,7 +265,7 @@ void ReplicaNode::Restart() {
 
 void ReplicaNode::HandleExec(const net::Message& m) {
   if (crashed_) return;
-  auto msg = std::any_cast<ExecTxnMsg>(m.body);
+  const auto& msg = std::any_cast<const ExecTxnMsg&>(m.body);
   if (msg.order > 0) {
     // Ordered write (statement-mode): enters the replication stream.
     // engine_applied_ can run ahead of applied_version_ (timed completion
@@ -330,16 +330,20 @@ void ReplicaNode::StartUnorderedExec(const ExecTxnMsg& msg, net::NodeId from) {
       reply.status.ok() && !msg.read_only && reply.committed_version > 0;
   int sync_count = msg.sync_ack_count;
 
-  auto send_reply = [this, from, reply, trace_id]() {
-    dispatcher_->Send(from, kMsgExecReply, reply,
-                      reply.writeset.SizeBytes() + 256, trace_id);
+  // The reply (rows and writeset included) moves into the completion
+  // event, and from there into the 2-safe wait or the send: one copy.
+  auto send_reply = [this, from, trace_id](ExecTxnReply r) {
+    int64_t bytes = r.writeset.SizeBytes() + 256;
+    dispatcher_->Send(from, kMsgExecReply, std::move(r), bytes, trace_id);
   };
 
   sim_->ScheduleAt(done, [this, epoch, send_reply, success_write, sync_count,
-                          reply, trace_id, done] {
+                          reply = std::move(reply), trace_id,
+                          done]() mutable {
     if (epoch != epoch_ || crashed_) return;
-    if (success_write && reply.committed_version > applied_version_) {
-      applied_version_ = reply.committed_version;
+    GlobalVersion committed = reply.committed_version;
+    if (success_write && committed > applied_version_) {
+      applied_version_ = committed;
       SendProgress();
       DrainWaitingReads();
     }
@@ -348,7 +352,8 @@ void ReplicaNode::StartUnorderedExec(const ExecTxnMsg& msg, net::NodeId from) {
       PendingSync ps;
       ps.acks_needed = std::min<int>(sync_count,
                                      static_cast<int>(subscribers_.size()));
-      ps.on_acked = [this, send_reply, trace_id, done]() {
+      ps.on_acked = [this, send_reply, reply = std::move(reply), trace_id,
+                     done]() mutable {
         if (obs::CriticalPathEnabled() && trace_id != 0 &&
             sim_->Now() > done) {
           // The commit waited for slave receipt acks: a network round
@@ -357,13 +362,13 @@ void ReplicaNode::StartUnorderedExec(const ExecTxnMsg& msg, net::NodeId from) {
               obs::ChainKind::kClient, trace_id, 0,
               obs::WaitState::kNetTransit, done, sim_->Now());
         }
-        send_reply();
+        send_reply(std::move(reply));
       };
-      pending_sync_[reply.committed_version] = std::move(ps);
-      ShipCommitted(/*sync_acks_for_version=*/1, reply.committed_version);
+      pending_sync_[committed] = std::move(ps);
+      ShipCommitted(/*sync_acks_for_version=*/1, committed);
       return;
     }
-    send_reply();
+    send_reply(std::move(reply));
   });
 }
 
@@ -378,13 +383,20 @@ void ReplicaNode::RunTransaction(const ExecTxnMsg& msg, net::NodeId from,
   int64_t cost = 0;
   size_t binlog_before = engine_->binlog().size();
 
-  engine::ExecResult begin = engine_->Execute(session, "BEGIN");
+  engine::ExecResult begin = engine_->Begin(session);
   cost += begin.cost_us;
   Status status = begin.status;
   std::vector<sql::Row> last_rows;
   if (status.ok()) {
-    for (const std::string& stmt : msg.statements) {
-      engine::ExecResult r = engine_->Execute(session, stmt);
+    for (size_t i = 0; i < msg.statements.size(); ++i) {
+      // Run the controller's parse; parse the text only where it has none
+      // (statement mode, or a text that failed to parse: the engine
+      // reports that parse error exactly as before).
+      const sql::Statement* parsed =
+          i < msg.parsed.size() ? msg.parsed[i].get() : nullptr;
+      engine::ExecResult r =
+          parsed != nullptr ? engine_->ExecuteStmt(session, *parsed)
+                            : engine_->Execute(session, msg.statements[i]);
       cost += r.cost_us;
       if (!r.ok()) {
         status = r.status;
@@ -398,7 +410,7 @@ void ReplicaNode::RunTransaction(const ExecTxnMsg& msg, net::NodeId from,
   reply->rows = std::move(last_rows);
 
   if (!status.ok()) {
-    engine_->Execute(session, "ROLLBACK");
+    engine_->Rollback(session);
     engine_->Disconnect(session);
     reply->status = status;
     reply->cost_us = cost;
@@ -420,7 +432,7 @@ void ReplicaNode::RunTransaction(const ExecTxnMsg& msg, net::NodeId from,
 
   const engine::Writeset* ws = engine_->CurrentWriteset(session);
   if (ws != nullptr) reply->writeset = *ws;
-  engine::ExecResult commit = engine_->Execute(session, "COMMIT");
+  engine::ExecResult commit = engine_->Commit(session);
   cost += commit.cost_us;
   engine_->Disconnect(session);
   reply->status = commit.status;
@@ -470,7 +482,7 @@ void ReplicaNode::HandleFinish(const net::Message& m) {
     return;
   }
   if (!msg.commit) {
-    engine_->Execute(it->second.session, "ROLLBACK");
+    engine_->Rollback(it->second.session);
     engine_->Disconnect(it->second.session);
     held_.erase(it);
     FinishTxnReply reply;
@@ -568,6 +580,32 @@ void ReplicaNode::ReleaseCredits() {
   }
 }
 
+ReplicaNode::StatementApply ReplicaNode::ApplyStatements(
+    const std::vector<std::string>& statements) {
+  StatementApply out;
+  Result<engine::SessionId> sid = engine_->Connect();
+  if (!sid.ok()) return out;
+  engine::SessionId session = sid.value();
+  engine_->Begin(session);
+  for (const std::string& stmt : statements) {
+    engine::ExecResult r = engine_->Execute(session, stmt);
+    out.cost_us += r.cost_us;
+    if (!r.ok()) {
+      out.ok = false;
+      break;
+    }
+  }
+  if (out.ok) {
+    out.cost_us += engine_->Commit(session).cost_us;
+  } else {
+    // Mirror live execution: a failing transaction rolls back in full
+    // everywhere, so deterministic aborts stay convergent.
+    engine_->Rollback(session);
+  }
+  engine_->Disconnect(session);
+  return out;
+}
+
 void ReplicaNode::DrainOrderedBuffer() {
   while (true) {
     auto it = ordered_buffer_.find(engine_applied_ + 1);
@@ -643,8 +681,7 @@ void ReplicaNode::DrainOrderedBuffer() {
           conflict_keys.push_back(k);
         }
       } else {
-        engine::ExecResult commit =
-            engine_->Execute(hit->second.session, "COMMIT");
+        engine::ExecResult commit = engine_->Commit(hit->second.session);
         finish_reply.status = commit.status;
         cost = commit.cost_us;
         for (const std::string& k : hit->second.writeset.ConflictKeys()) {
@@ -659,29 +696,11 @@ void ReplicaNode::DrainOrderedBuffer() {
       const ReplicationEntry& entry = item.entry;
       if (entry.use_statements || entry.writeset.empty() ||
           entry.writeset.incomplete) {
-        Result<engine::SessionId> sid = engine_->Connect();
-        if (sid.ok()) {
-          engine_->Execute(sid.value(), "BEGIN");
-          bool entry_ok = true;
-          for (const std::string& stmt : entry.statements) {
-            engine::ExecResult r = engine_->Execute(sid.value(), stmt);
-            cost += r.cost_us;
-            if (!r.ok()) {
-              entry_ok = false;
-              break;
-            }
-          }
-          if (entry_ok) {
-            engine::ExecResult commit = engine_->Execute(sid.value(), "COMMIT");
-            cost += commit.cost_us;
-          } else {
-            // Mirror live execution: a failing transaction rolls back in
-            // full everywhere, so deterministic aborts stay convergent.
-            engine_->Execute(sid.value(), "ROLLBACK");
-            ++apply_errors_;
-            ReplicaMetrics::Get().apply_errors->Increment();
-          }
-          engine_->Disconnect(sid.value());
+        StatementApply applied = ApplyStatements(entry.statements);
+        cost += applied.cost_us;
+        if (!applied.ok) {
+          ++apply_errors_;
+          ReplicaMetrics::Get().apply_errors->Increment();
         }
         // Coarse conflict granularity for statement apply: whole stream.
         conflict_keys.push_back("*");
@@ -709,7 +728,7 @@ void ReplicaNode::DrainOrderedBuffer() {
             }
             if (overlaps) {
               if (engine_->HasSession(hit->second.session)) {
-                engine_->Execute(hit->second.session, "ROLLBACK");
+                engine_->Rollback(hit->second.session);
                 engine_->Disconnect(hit->second.session);
               }
               hit = held_.erase(hit);
@@ -1006,25 +1025,7 @@ void ReplicaNode::RecoverFromDurableLog(sim::TimePoint now) {
     v = entry.version;
     if (entry.use_statements || entry.writeset.empty() ||
         entry.writeset.incomplete) {
-      Result<engine::SessionId> sid = engine_->Connect();
-      if (sid.ok()) {
-        engine_->Execute(sid.value(), "BEGIN");
-        bool entry_ok = true;
-        for (const std::string& stmt : entry.statements) {
-          engine::ExecResult r = engine_->Execute(sid.value(), stmt);
-          cost += r.cost_us;
-          if (!r.ok()) {
-            entry_ok = false;
-            break;
-          }
-        }
-        if (entry_ok) {
-          cost += engine_->Execute(sid.value(), "COMMIT").cost_us;
-        } else {
-          engine_->Execute(sid.value(), "ROLLBACK");
-        }
-        engine_->Disconnect(sid.value());
-      }
+      cost += ApplyStatements(entry.statements).cost_us;
     } else {
       (void)engine_->ApplyWriteset(entry.writeset);
       cost += ApplyCost(entry);

@@ -220,6 +220,18 @@ class ReplicaNode {
   /// their timed completions.
   void DrainOrderedBuffer();
 
+  /// Outcome of ApplyStatements: `ok` is false only when a statement
+  /// failed (a refused connection applies nothing); `cost_us` sums the
+  /// statements and the COMMIT, not the BEGIN.
+  struct StatementApply {
+    bool ok = true;
+    int64_t cost_us = 0;
+  };
+  /// Applies a statement-carrying replication entry as one transaction on
+  /// a fresh session: BEGIN, the statements, then COMMIT, or ROLLBACK
+  /// after the first failure.
+  StatementApply ApplyStatements(const std::vector<std::string>& statements);
+
   /// Charges `cost` against the unordered worker pool; returns completion
   /// time. `start_out`, when given, receives the service start time (the
   /// queue-wait boundary for the per-stage breakdown).

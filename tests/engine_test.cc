@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "engine/rdbms.h"
+#include "sql/parser.h"
 
 namespace replidb::engine {
 namespace {
@@ -789,6 +790,114 @@ TEST_F(EngineTest, CostModelChargesStatements) {
   EXPECT_GT(r.cost_us, 0);
   ExecResult w = MustExec("UPDATE accounts SET balance = 1 WHERE id = 1");
   EXPECT_GT(w.cost_us, 0);
+}
+
+// --- Shared parsed statements ---------------------------------------------
+
+std::vector<std::string> FirstColumn(const ExecResult& r) {
+  std::vector<std::string> out;
+  for (const sql::Row& row : r.rows) out.push_back(row[0].AsString());
+  return out;
+}
+
+// One parsed statement serves many executions: the controller parses a
+// statement once and every replica runs that same object. The IN-subquery
+// memo is keyed by AST node address, so it must not outlive one execution:
+// a committed write to the subquery's table between two runs of the same
+// object must show in the second, exactly as a fresh parse of the text.
+TEST_F(EngineTest, OneParsedStatementRunsTwiceLikeItsText) {
+  MakeAccounts();
+  MustExec("CREATE TABLE vip (id INT PRIMARY KEY)");
+  MustExec("INSERT INTO vip VALUES (1)");
+  const std::string text =
+      "SELECT owner FROM accounts WHERE id IN (SELECT id FROM vip) "
+      "ORDER BY id";
+  Result<sql::Statement> parsed = sql::Parse(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const sql::Statement& stmt = parsed.value();
+  const uint64_t parses = db_->stats().statements_parsed;
+
+  ExecResult first = db_->ExecuteStmt(session_, stmt);
+  ASSERT_TRUE(first.ok()) << first.status.ToString();
+  EXPECT_EQ(db_->stats().statements_parsed, parses) << "ExecuteStmt parsed";
+  ExecResult first_text = MustExec(text);
+  EXPECT_EQ(FirstColumn(first), FirstColumn(first_text));
+  EXPECT_EQ(first.cost_us, first_text.cost_us);
+  EXPECT_EQ(FirstColumn(first), std::vector<std::string>{"alice"});
+
+  MustExec("INSERT INTO vip VALUES (3)");
+  ExecResult second = db_->ExecuteStmt(session_, stmt);
+  ASSERT_TRUE(second.ok()) << second.status.ToString();
+  ExecResult second_text = MustExec(text);
+  EXPECT_EQ(FirstColumn(second), FirstColumn(second_text));
+  EXPECT_EQ(second.cost_us, second_text.cost_us);
+  EXPECT_EQ(FirstColumn(second), (std::vector<std::string>{"alice", "carol"}))
+      << "a stale subquery memo survived into the second execution";
+}
+
+// The same object on two engines with different subquery contents: each
+// run sees its own engine's rows.
+TEST_F(EngineTest, OneParsedStatementRunsOnTwoEngines) {
+  RdbmsOptions opts;
+  opts.name = "other-db";
+  Rdbms other(opts);
+  SessionId other_session = other.Connect().value();
+  const char* setup[] = {
+      "CREATE TABLE accounts (id INT PRIMARY KEY, balance INT, owner TEXT)",
+      "INSERT INTO accounts VALUES (1, 100, 'alice'), (2, 200, 'bob'), "
+      "(3, 300, 'carol')",
+      "CREATE TABLE vip (id INT PRIMARY KEY)",
+  };
+  for (const char* sql : setup) {
+    MustExec(sql);
+    ASSERT_TRUE(other.Execute(other_session, sql).ok()) << sql;
+  }
+  MustExec("INSERT INTO vip VALUES (1)");
+  ASSERT_TRUE(other.Execute(other_session, "INSERT INTO vip VALUES (2)").ok());
+
+  const std::string text =
+      "SELECT owner FROM accounts WHERE id IN (SELECT id FROM vip) "
+      "ORDER BY id";
+  Result<sql::Statement> parsed = sql::Parse(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const sql::Statement& stmt = parsed.value();
+
+  ExecResult here = db_->ExecuteStmt(session_, stmt);
+  ExecResult there = other.ExecuteStmt(other_session, stmt);
+  ASSERT_TRUE(here.ok()) << here.status.ToString();
+  ASSERT_TRUE(there.ok()) << there.status.ToString();
+  EXPECT_EQ(FirstColumn(here), std::vector<std::string>{"alice"});
+  EXPECT_EQ(FirstColumn(there), std::vector<std::string>{"bob"});
+  EXPECT_EQ(FirstColumn(here), FirstColumn(MustExec(text)));
+  EXPECT_EQ(FirstColumn(there),
+            FirstColumn(other.Execute(other_session, text)));
+  // And back again on the first engine, after the second used it.
+  EXPECT_EQ(FirstColumn(db_->ExecuteStmt(session_, stmt)),
+            std::vector<std::string>{"alice"});
+}
+
+// The transaction-control wrappers are the parsed branches of
+// Execute("BEGIN"/"COMMIT"/"ROLLBACK"): same effect and cost, no parse.
+TEST_F(EngineTest, ControlWrappersMatchTheirTextWithoutParsing) {
+  MakeAccounts();
+  const uint64_t parses = db_->stats().statements_parsed;
+  ExecResult begin = db_->Begin(session_);
+  ASSERT_TRUE(begin.ok());
+  EXPECT_TRUE(db_->InTransaction(session_));
+  ExecResult rollback = db_->Rollback(session_);
+  EXPECT_FALSE(db_->InTransaction(session_));
+  ASSERT_TRUE(db_->Begin(session_).ok());
+  const uint64_t commits = db_->stats().transactions_committed;
+  ExecResult commit = db_->Commit(session_);
+  ASSERT_TRUE(commit.ok());
+  EXPECT_EQ(db_->stats().transactions_committed, commits + 1);
+  EXPECT_EQ(db_->stats().statements_parsed, parses);
+
+  EXPECT_EQ(begin.cost_us, MustExec("BEGIN").cost_us);
+  EXPECT_EQ(rollback.cost_us, MustExec("ROLLBACK").cost_us);
+  MustExec("BEGIN");
+  EXPECT_EQ(commit.cost_us, MustExec("COMMIT").cost_us);
+  EXPECT_EQ(db_->stats().statements_parsed, parses + 4);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "middleware/cluster.h"
+#include "sql/parser.h"
 #include "workload/load_generator.h"
 #include "workload/workloads.h"
 
@@ -66,6 +67,17 @@ std::unique_ptr<Cluster> MakeCluster(ReplicationMode mode, int replicas = 3,
   return c;
 }
 
+std::string ModeParamName(
+    const ::testing::TestParamInfo<ReplicationMode>& info) {
+  switch (info.param) {
+    case ReplicationMode::kMasterSlaveAsync: return "MsAsync";
+    case ReplicationMode::kMasterSlaveSync: return "MsSync";
+    case ReplicationMode::kMultiMasterStatement: return "MmStmt";
+    case ReplicationMode::kMultiMasterCertification: return "MmCert";
+  }
+  return "Unknown";
+}
+
 class AllModesTest : public ::testing::TestWithParam<ReplicationMode> {};
 
 INSTANTIATE_TEST_SUITE_P(
@@ -74,15 +86,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ReplicationMode::kMasterSlaveSync,
                       ReplicationMode::kMultiMasterStatement,
                       ReplicationMode::kMultiMasterCertification),
-    [](const ::testing::TestParamInfo<ReplicationMode>& info) {
-      switch (info.param) {
-        case ReplicationMode::kMasterSlaveAsync: return std::string("MsAsync");
-        case ReplicationMode::kMasterSlaveSync: return std::string("MsSync");
-        case ReplicationMode::kMultiMasterStatement: return std::string("MmStmt");
-        case ReplicationMode::kMultiMasterCertification: return std::string("MmCert");
-      }
-      return std::string("Unknown");
-    });
+    ModeParamName);
 
 TEST_P(AllModesTest, WriteCommitsAndReadSeesIt) {
   auto c = MakeCluster(GetParam());
@@ -647,6 +651,134 @@ TEST_P(AllModesTest, EngineHoldsAtMostOneShipIntervalOfCommits) {
   }
   EXPECT_GT(gen.stats().committed, 300u);
   EXPECT_TRUE(c.Converged());
+}
+
+// --- Parse once --------------------------------------------------------------
+
+// Controller parse count, then each replica engine's.
+std::vector<uint64_t> ParseCounts(const Cluster& c) {
+  std::vector<uint64_t> out{c.controller->stats().statements_parsed};
+  for (const auto& r : c.replicas) {
+    out.push_back(r->engine()->stats().statements_parsed);
+  }
+  return out;
+}
+
+// A few dozen mixed transactions: point reads, single- and two-statement
+// writes, a subquery write, and a write sent with read_only set (the
+// classifier must still route it as a write).
+std::vector<TxnRequest> MixedTraffic() {
+  std::vector<TxnRequest> out;
+  for (int i = 0; i < 36; ++i) {
+    std::string id = std::to_string(i % 20);
+    switch (i % 6) {
+      case 0:
+      case 1:
+        out.push_back(Read("SELECT balance FROM accounts WHERE id = " + id));
+        break;
+      case 2:
+        out.push_back(
+            Write("UPDATE accounts SET balance = balance + 1 WHERE id = " + id));
+        break;
+      case 3: {
+        TxnRequest txn;
+        txn.statements = {
+            "UPDATE accounts SET balance = balance - 5 WHERE id = " + id,
+            "SELECT balance FROM accounts WHERE id = " + id,
+        };
+        out.push_back(std::move(txn));
+        break;
+      }
+      case 4:
+        out.push_back(Write(
+            "UPDATE accounts SET balance = balance + 2 WHERE id IN "
+            "(SELECT id FROM accounts WHERE id < 3)"));
+        break;
+      default: {
+        TxnRequest mislabelled =
+            Read("UPDATE accounts SET balance = balance + 3 WHERE id = " + id);
+        out.push_back(std::move(mislabelled));
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+class ParseOnceTest : public ::testing::TestWithParam<ReplicationMode> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, ParseOnceTest,
+    ::testing::Values(ReplicationMode::kMasterSlaveAsync,
+                      ReplicationMode::kMasterSlaveSync,
+                      ReplicationMode::kMultiMasterCertification),
+    ModeParamName);
+
+// The controller parses each client statement exactly once, and the
+// replicas run that parse: after set-up, no replica engine parses SQL text
+// at all — not the statements, not BEGIN/COMMIT, not the applies.
+TEST_P(ParseOnceTest, ControllerParsesEachStatementOnceReplicasNever) {
+  auto c = MakeCluster(GetParam());
+  std::vector<uint64_t> before = ParseCounts(*c);
+  uint64_t statements = 0;
+  uint64_t writes = 0;
+  for (TxnRequest& req : MixedTraffic()) {
+    statements += req.statements.size();
+    TxnResult r = RunTxn(c.get(), std::move(req));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    ASSERT_EQ(r.retries, 0);
+    if (r.version > 0) ++writes;
+  }
+  c->sim.RunFor(5 * kSecond);
+  EXPECT_EQ(writes, 24u) << "mislabelled writes must route as writes";
+  EXPECT_TRUE(c->Converged());
+  EXPECT_EQ(c->TotalApplyErrors(), 0u);
+  std::vector<uint64_t> after = ParseCounts(*c);
+  EXPECT_EQ(after[0] - before[0], statements) << "controller parses";
+  for (size_t i = 1; i < after.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], 0u) << "replica " << i << " parsed";
+  }
+}
+
+// A statement the controller cannot parse still runs as text, and the
+// replica reports the parse error exactly as the engine always did.
+TEST_P(ParseOnceTest, UnparsableStatementFailsOnTheReplicaWithItsParseError) {
+  auto c = MakeCluster(GetParam());
+  const std::string bad = "UPDATE accounts SET WHERE";
+  std::vector<uint64_t> before = ParseCounts(*c);
+  TxnResult r = RunTxn(c.get(), Read(bad));
+  EXPECT_EQ(r.status.ToString(), sql::Parse(bad).status().ToString());
+  std::vector<uint64_t> after = ParseCounts(*c);
+  EXPECT_EQ(after[0] - before[0], 1u);
+  uint64_t replica_parses = 0;
+  for (size_t i = 1; i < after.size(); ++i) {
+    replica_parses += after[i] - before[i];
+  }
+  EXPECT_EQ(replica_parses, 1u) << "only the executing replica parses it";
+}
+
+// Statement mode keeps its documented re-parse: the controller parses each
+// write again to rewrite it, and every replica parses the rewritten text
+// of every write. Reads still run the controller's parse.
+TEST(ParseOnceStatementModeTest, ReplicasParseTheRewrittenWrites) {
+  auto c = MakeCluster(ReplicationMode::kMultiMasterStatement);
+  std::vector<uint64_t> before = ParseCounts(*c);
+  uint64_t statements = 0;
+  uint64_t write_statements = 0;
+  for (TxnRequest& req : MixedTraffic()) {
+    statements += req.statements.size();
+    TxnResult r = RunTxn(c.get(), req);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    ASSERT_EQ(r.retries, 0);
+    if (r.version > 0) write_statements += req.statements.size();
+  }
+  c->sim.RunFor(5 * kSecond);
+  EXPECT_TRUE(c->Converged());
+  std::vector<uint64_t> after = ParseCounts(*c);
+  EXPECT_EQ(after[0] - before[0], statements + write_statements);
+  for (size_t i = 1; i < after.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], write_statements) << "replica " << i;
+  }
 }
 
 // --- End-to-end under load ------------------------------------------------------

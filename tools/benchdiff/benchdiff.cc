@@ -192,6 +192,10 @@ constexpr Rule kRules[] = {
     // Deterministic work counter: log frames parsed per shipped entry.
     // About 1 when ship cursors seek; a rescan multiplies it.
     {"frames_per_entry", Direction::kLowerBetter, 0.05, 0.1},
+    // Deterministic work counter: SQL texts parsed per client statement.
+    // About 1 when only the controller parses; a replica re-parse adds
+    // one per statement and one per BEGIN/COMMIT.
+    {"parses_per_stmt", Direction::kLowerBetter, 0.05, 0.1},
     {"abort_pct", Direction::kLowerBetter, 0.20, 1.0},
     {"peak_lag", Direction::kLowerBetter, 0.25, 50.0},
     {"final_lag", Direction::kLowerBetter, 0.25, 50.0},
@@ -418,6 +422,18 @@ int SelfTest() {
   }
   if (!CompareMetric("ship_frames_per_entry", 1.0, 1.5, opt).regressed) {
     return Fail("frames_per_entry rise undetected");
+  }
+  // Parses per client statement has the same tight band: 1.0 -> 1.1
+  // passes, a replica re-parse (1.0 -> 2.0 and up) fails.
+  const Rule* parses = FindRule("parses_per_stmt");
+  if (parses == nullptr || std::strcmp(parses->pattern, "parses_per_stmt")) {
+    return Fail("parses_per_stmt caught by an earlier rule");
+  }
+  if (CompareMetric("parses_per_stmt", 1.0, 1.1, opt).regressed) {
+    return Fail("parses_per_stmt band too tight");
+  }
+  if (!CompareMetric("parses_per_stmt", 1.0, 2.0, opt).regressed) {
+    return Fail("parses_per_stmt rise undetected");
   }
   // Wall-clock metric never fails.
   if (CompareMetric("events_per_sec", 5e6, 1.0, opt).regressed) {
