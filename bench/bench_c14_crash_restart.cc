@@ -29,6 +29,9 @@ struct CrashRestartResult {
   uint64_t binlog_bytes = 0;
   uint64_t checkpoint_version = 0;
   uint64_t behind_at_restart = 0;
+  /// Image rows per checkpoint record over every replica's log: a full
+  /// image only where recovery can read it (durable logs).
+  double image_rows_per_checkpoint = 0;
   bool converged = false;
 };
 
@@ -109,6 +112,16 @@ CrashRestartResult RunOnce(bool durable, BenchReport* report = nullptr) {
   out.checkpoint_version = bl.checkpoint_version;
   c->sim.RunFor(2 * sim::kSecond);
   out.converged = c->Converged();
+  uint64_t checkpoints = 0, image_rows = 0;
+  for (const auto& r : c->replicas) {
+    binlog::BinlogStats st = r->DurableLogStats();
+    checkpoints += st.checkpoints_appended;
+    image_rows += st.checkpoint_image_rows;
+  }
+  if (checkpoints > 0) {
+    out.image_rows_per_checkpoint = static_cast<double>(image_rows) /
+                                    static_cast<double>(checkpoints);
+  }
   if (report != nullptr) {
     report->FromStats(warm, "steady.");
     report->CaptureCluster(*c, warm.committed);
@@ -156,10 +169,14 @@ void Run() {
   report.Set("durable.local_replayed",
              static_cast<double>(durable.local_replayed));
   report.Set("durable.converged", durable.converged ? 1.0 : 0.0);
+  report.Set("durable.image_rows_per_checkpoint",
+             durable.image_rows_per_checkpoint);
   report.Set("resync.recovery_s", resync.recovery_s);
   report.Set("resync.provision_bytes",
              static_cast<double>(resync.provision_bytes));
   report.Set("resync.converged", resync.converged ? 1.0 : 0.0);
+  report.Set("resync.image_rows_per_checkpoint",
+             resync.image_rows_per_checkpoint);
   report.Set("provision_ratio", ratio);
   report.Write();
 }

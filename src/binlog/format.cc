@@ -167,7 +167,7 @@ constexpr uint32_t kCrcTableSeed = 0xedb88320u;  // Reflected IEEE poly.
 
 }  // namespace
 
-uint32_t Crc32(std::string_view data) {
+uint32_t Crc32(std::string_view data, uint32_t crc) {
   static const auto table = [] {
     std::array<uint32_t, 256> t{};
     for (uint32_t i = 0; i < 256; ++i) {
@@ -179,7 +179,7 @@ uint32_t Crc32(std::string_view data) {
     }
     return t;
   }();
-  uint32_t crc = 0xffffffffu;
+  crc ^= 0xffffffffu;
   for (char ch : data) {
     crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xff] ^ (crc >> 8);
   }
@@ -189,16 +189,14 @@ uint32_t Crc32(std::string_view data) {
 void PutRecord(RecordType type, std::string_view payload, std::string* out) {
   // CRC covers type+flags+len+payload, i.e. everything after the crc
   // field itself; magic is a frame-sync aid, not integrity data.
-  std::string covered;
-  covered.reserve(6 + payload.size());
-  covered.push_back(static_cast<char>(type));
-  covered.push_back(0);  // flags
-  PutFixed32(static_cast<uint32_t>(payload.size()), &covered);
-  covered.append(payload.data(), payload.size());
-
+  const size_t start = out->size();
+  out->reserve(start + kRecordHeaderBytes + payload.size());
   PutFixed32(kRecordMagic, out);
-  out->append(covered, 0, 6);
-  PutFixed32(Crc32(covered), out);
+  out->push_back(static_cast<char>(type));
+  out->push_back(0);  // flags
+  PutFixed32(static_cast<uint32_t>(payload.size()), out);
+  uint32_t crc = Crc32(std::string_view(*out).substr(start + 4, 6));
+  PutFixed32(Crc32(payload, crc), out);
   out->append(payload.data(), payload.size());
 }
 
@@ -215,11 +213,9 @@ Status ParseRecord(std::string_view data, RecordView* out) {
   if (data.size() < kRecordHeaderBytes + len) {
     return Status::InvalidArgument("binlog record: torn payload");
   }
-  std::string covered;
-  covered.reserve(6 + len);
-  covered.append(data.data() + 4, 6);  // type+flags+len, as written.
-  covered.append(data.data() + kRecordHeaderBytes, len);
-  if (Crc32(covered) != crc) {
+  // type+flags+len as written, then the payload.
+  if (Crc32(data.substr(kRecordHeaderBytes, len), Crc32(data.substr(4, 6))) !=
+      crc) {
     return Status::InvalidArgument("binlog record: CRC mismatch");
   }
   if (type != static_cast<uint8_t>(RecordType::kEntry) &&

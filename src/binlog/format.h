@@ -30,8 +30,9 @@ namespace replidb::binlog {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected). Deterministic and
 /// hash-seed-independent: segment bytes must be byte-identical across
-/// runs for the determinism harness to compare them.
-uint32_t Crc32(std::string_view data);
+/// runs for the determinism harness to compare them. `crc` continues a
+/// previous result: Crc32(b, Crc32(a)) == Crc32(a + b).
+uint32_t Crc32(std::string_view data, uint32_t crc = 0);
 
 enum class RecordType : uint8_t {
   kEntry = 1,       ///< One middleware::ReplicationEntry.

@@ -84,8 +84,11 @@ Status SegmentedBinlog::AppendCheckpoint(const CheckpointRecord& cp) {
                                      EncodeCheckpointPayload(cp),
                                      /*force_sync=*/true, nullptr));
   segments_.back().has_checkpoint = true;
-  latest_checkpoint_ = cp;
   have_checkpoint_ = true;
+  checkpoint_version_ = cp.version;
+  checkpoint_at_us_ = cp.taken_at_us;
+  ++checkpoints_appended_;
+  checkpoint_image_rows_ += cp.image.RowCount();
   return Status::OK();
 }
 
@@ -110,7 +113,8 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
   segments_.clear();
   head_version_ = 0;
   have_checkpoint_ = false;
-  latest_checkpoint_ = CheckpointRecord{};
+  checkpoint_version_ = 0;
+  checkpoint_at_us_ = -1;
 
   RecoveryInfo info;
   std::vector<uint64_t> listed = store_->List();
@@ -169,8 +173,10 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
           break;
         }
         si.has_checkpoint = true;
-        latest_checkpoint_ = std::move(cp.value());
         have_checkpoint_ = true;
+        checkpoint_version_ = cp.value().version;
+        checkpoint_at_us_ = cp.value().taken_at_us;
+        info.checkpoint = std::move(cp.value());
       }
       ++si.records;
       offset += view.frame_bytes;
@@ -190,7 +196,6 @@ Result<RecoveryInfo> SegmentedBinlog::Recover() {
   info.segments = segments_.size();
   info.last_version = head_version_;
   info.have_checkpoint = have_checkpoint_;
-  if (have_checkpoint_) info.checkpoint = latest_checkpoint_;
   info.meta_watermark = PersistedWatermark();
   return info;
 }
@@ -246,10 +251,10 @@ BinlogStats SegmentedBinlog::Stats() const {
   st.last_version = head_version_;
   st.truncate_watermark = truncate_watermark_;
   st.frames_read = frames_read_;
-  if (have_checkpoint_) {
-    st.checkpoint_version = latest_checkpoint_.version;
-    st.checkpoint_at_us = latest_checkpoint_.taken_at_us;
-  }
+  st.checkpoint_version = checkpoint_version_;
+  st.checkpoint_at_us = checkpoint_at_us_;
+  st.checkpoints_appended = checkpoints_appended_;
+  st.checkpoint_image_rows = checkpoint_image_rows_;
   return st;
 }
 

@@ -66,6 +66,10 @@ struct BinlogStats {
   /// Frames parsed since construction by cursors, ReadAt and Recover: a
   /// deterministic measure of read work.
   uint64_t frames_read = 0;
+  /// Checkpoint records appended since construction, and the image rows
+  /// they carried (zero for image-less checkpoints).
+  uint64_t checkpoints_appended = 0;
+  uint64_t checkpoint_image_rows = 0;
 };
 
 /// What Recover() found on disk.
@@ -136,8 +140,10 @@ class SegmentedBinlog {
   Status AppendSuperseding(const middleware::ReplicationEntry& entry,
                            LogPosition* pos_out = nullptr);
 
-  /// Appends a checkpoint record (always fsynced) and remembers it as the
-  /// latest. The checkpoint does not advance the entry head.
+  /// Appends a checkpoint record (always fsynced) and remembers its
+  /// version and time as the latest; the image itself lives only in the
+  /// log bytes, which Recover() decodes. The checkpoint does not advance
+  /// the entry head.
   Status AppendCheckpoint(const CheckpointRecord& cp);
 
   /// Reads one entry record at an exact address.
@@ -192,8 +198,12 @@ class SegmentedBinlog {
   std::vector<SegmentInfo> segments_;  ///< Ascending; back() is active.
   middleware::GlobalVersion head_version_ = 0;
   middleware::GlobalVersion truncate_watermark_ = 0;
-  CheckpointRecord latest_checkpoint_;
+  /// The latest checkpoint's version and time (no copy of its image).
   bool have_checkpoint_ = false;
+  middleware::GlobalVersion checkpoint_version_ = 0;
+  int64_t checkpoint_at_us_ = -1;
+  uint64_t checkpoints_appended_ = 0;
+  uint64_t checkpoint_image_rows_ = 0;
   uint64_t next_segment_ = 0;
   mutable uint64_t frames_read_ = 0;
 };

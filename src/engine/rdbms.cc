@@ -72,6 +72,14 @@ int64_t BackupImage::SizeBytes() const {
   return bytes;
 }
 
+uint64_t BackupImage::RowCount() const {
+  uint64_t rows = 0;
+  for (const auto& db : databases) {
+    for (const auto& t : db.tables) rows += t.rows.size();
+  }
+  return rows;
+}
+
 // ---------------------------------------------------------------------------
 // StatementExecutor: executes one parsed statement inside a session's txn.
 
@@ -1499,12 +1507,7 @@ Result<BackupImage> Rdbms::Backup(const BackupOptions& opts) const {
       (void)tname;
       BackupImage::TableImage ti;
       ti.schema = table->schema();
-      std::vector<std::pair<RowId, sql::Row>> rows;
-      table->Scan(view, &rows, nullptr);
-      for (auto& [rid, row] : rows) {
-        (void)rid;
-        ti.rows.push_back(std::move(row));
-      }
+      table->ScanRows(view, &ti.rows);
       if (opts.include_sequences) {
         ti.auto_increment = table->auto_increment_counter();
       }

@@ -96,6 +96,8 @@ struct BackupImage {
 
   /// Approximate size in bytes (drives transfer/restore cost models).
   int64_t SizeBytes() const;
+  /// Rows across every table.
+  uint64_t RowCount() const;
 };
 
 /// \brief Aggregate engine counters exposed for benches and tests.

@@ -66,9 +66,44 @@ int VersionedTable::VisibleIndex(const TxnView& txn, const Chain& chain) const {
   return -1;
 }
 
-int VersionedTable::NewestActive(const Chain& chain) const {
-  return chain.versions.empty() ? -1
-                                : static_cast<int>(chain.versions.size()) - 1;
+const std::vector<VersionedTable::PhysicalSlot>&
+VersionedTable::PhysicalOrder() const {
+  if (order_stale_) {
+    // "Physical" order: a seeded shuffle standing in for page layout. Two
+    // replicas with different seeds return unordered scans differently —
+    // which is legal SQL, and the root of the LIMIT divergence of §4.3.2.
+    physical_order_.clear();
+    physical_order_.reserve(rows_.size());
+    for (const auto& [rid, chain] : rows_) {
+      physical_order_.push_back({Mix64(rid ^ physical_seed_), rid, &chain});
+    }
+    std::sort(physical_order_.begin(), physical_order_.end(),
+              [](const PhysicalSlot& a, const PhysicalSlot& b) {
+                return a.key < b.key;
+              });
+    order_stale_ = false;
+  }
+  return physical_order_;
+}
+
+template <typename Fn>
+void VersionedTable::ForEachVisible(const TxnView& txn, ExecStats* stats,
+                                    Fn&& fn) const {
+  const std::vector<PhysicalSlot>& order = PhysicalOrder();
+  const size_t n = order.size();
+  for (size_t i = 0; i < n; ++i) {
+    // The order is a shuffle of the heap: fetch ahead so the chain nodes
+    // and their version arrays arrive before the loop needs them.
+    if (i + 16 < n) __builtin_prefetch(order[i + 16].chain);
+    if (i + 8 < n) __builtin_prefetch(order[i + 8].chain->versions.data());
+    const PhysicalSlot& slot = order[i];
+    const auto& versions = slot.chain->versions;
+    if (stats) stats->rows_scanned += versions.size();
+    int idx = VisibleIndex(txn, *slot.chain);
+    if (idx < 0) continue;
+    fn(slot, versions[idx]);
+    if (stats) stats->rows_returned += 1;
+  }
 }
 
 Status VersionedTable::CheckUnique(const TxnView& txn, const sql::Row& row,
@@ -168,6 +203,7 @@ Result<RowId> VersionedTable::Insert(const TxnView& txn, sql::Row row,
   v.data = std::move(row);
   v.creator = txn.id;
   rows_[rid].versions.push_back(std::move(v));
+  order_stale_ = true;
   pending_[txn.id].insert(rid);
   if (stats) {
     stats->rows_written += 1;
@@ -299,25 +335,18 @@ void VersionedTable::UndoDelete(TxnId txn, RowId row_id) {
 void VersionedTable::Scan(const TxnView& txn,
                           std::vector<std::pair<RowId, sql::Row>>* out,
                           ExecStats* stats) const {
-  std::vector<std::pair<uint64_t, std::pair<RowId, const sql::Row*>>> hits;
-  for (const auto& [rid, chain] : rows_) {
-    if (stats) stats->rows_scanned += chain.versions.size();
-    int idx = VisibleIndex(txn, chain);
-    if (idx >= 0) {
-      hits.emplace_back(Mix64(rid ^ physical_seed_),
-                        std::make_pair(rid, &chain.versions[idx].data));
-    }
-  }
-  // "Physical" order: a seeded shuffle standing in for page layout. Two
-  // replicas with different seeds return unordered scans differently —
-  // which is legal SQL, and the root of the LIMIT divergence of §4.3.2.
-  std::sort(hits.begin(), hits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out->reserve(out->size() + hits.size());
-  for (auto& h : hits) {
-    out->emplace_back(h.second.first, *h.second.second);
-    if (stats) stats->rows_returned += 1;
-  }
+  out->reserve(out->size() + PhysicalOrder().size());
+  ForEachVisible(txn, stats, [out](const PhysicalSlot& slot, const Version& v) {
+    out->emplace_back(slot.rid, v.data);
+  });
+}
+
+void VersionedTable::ScanRows(const TxnView& txn,
+                              std::vector<sql::Row>* out) const {
+  out->reserve(out->size() + PhysicalOrder().size());
+  ForEachVisible(txn, nullptr, [out](const PhysicalSlot&, const Version& v) {
+    out->push_back(v.data);
+  });
 }
 
 Result<sql::Row> VersionedTable::Get(const TxnView& txn, RowId row_id) const {
@@ -381,7 +410,10 @@ void VersionedTable::CommitTxn(TxnId txn, CommitSeq commit_seq,
           ++vit;
         }
       }
-      if (versions.empty()) rows_.erase(rit);
+      if (versions.empty()) {
+        rows_.erase(rit);
+        order_stale_ = true;
+      }
     }
   }
   pending_.erase(it);
@@ -404,7 +436,10 @@ void VersionedTable::RollbackTxn(TxnId txn) {
       }
       ++vit;
     }
-    if (versions.empty()) rows_.erase(rit);
+    if (versions.empty()) {
+      rows_.erase(rit);
+      order_stale_ = true;
+    }
   }
   pending_.erase(it);
 }

@@ -52,6 +52,9 @@ struct TxnView {
 class VersionedTable {
  public:
   VersionedTable(TableSchema schema, uint64_t physical_seed);
+  /// Not copyable: the cached physical order points into rows_.
+  VersionedTable(const VersionedTable&) = delete;
+  VersionedTable& operator=(const VersionedTable&) = delete;
 
   const TableSchema& schema() const { return schema_; }
 
@@ -76,6 +79,10 @@ class VersionedTable {
   void Scan(const TxnView& txn,
             std::vector<std::pair<RowId, sql::Row>>* out,
             ExecStats* stats) const;
+
+  /// Appends the rows Scan would return, in the same order, without
+  /// their RowIds (backup images).
+  void ScanRows(const TxnView& txn, std::vector<sql::Row>* out) const;
 
   /// Fetches the version of `row_id` visible to `txn`.
   Result<sql::Row> Get(const TxnView& txn, RowId row_id) const;
@@ -131,13 +138,24 @@ class VersionedTable {
   struct Chain {
     std::vector<Version> versions;  ///< Oldest first.
   };
+  /// One RowId's place in this replica's physical order.
+  struct PhysicalSlot {
+    uint64_t key = 0;  ///< Mix64(rid ^ physical_seed_): the sort key.
+    RowId rid = 0;
+    const Chain* chain = nullptr;
+  };
 
   /// Visibility of one version for `txn`.
   bool Visible(const TxnView& txn, const Version& v) const;
   /// Returns the visible version index in the chain, or -1.
   int VisibleIndex(const TxnView& txn, const Chain& chain) const;
-  /// Newest version that is committed or pending (conflict anchor), or -1.
-  int NewestActive(const Chain& chain) const;
+  /// Every RowId in rows_, sorted by key. Mix64 is a bijection, so keys
+  /// never tie and the order is a pure function of the RowId set.
+  const std::vector<PhysicalSlot>& PhysicalOrder() const;
+  /// Calls fn(slot, visible version) for each row visible to `txn`, in
+  /// physical order.
+  template <typename Fn>
+  void ForEachVisible(const TxnView& txn, ExecStats* stats, Fn&& fn) const;
 
   Status CheckUnique(const TxnView& txn, const sql::Row& row,
                      std::optional<RowId> exclude_row);
@@ -154,6 +172,11 @@ class VersionedTable {
   uint64_t digest_ = 0;
   /// txn -> row ids with pending versions (for commit/rollback).
   HashMap<TxnId, std::set<RowId>> pending_;
+  /// Cached physical order (see PhysicalOrder). Only Insert adding a
+  /// RowId and a rollback or vacuum erasing one change the RowId set, so
+  /// only they mark it stale; the next scan rebuilds it.
+  mutable std::vector<PhysicalSlot> physical_order_;
+  mutable bool order_stale_ = false;
 };
 
 }  // namespace replidb::engine

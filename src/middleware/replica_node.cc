@@ -971,12 +971,18 @@ void ReplicaNode::TakeCheckpoint() {
   cp.version = std::max(engine_applied_, engine_->last_commit_seq());
   cp.taken_at_us = sim_->Now();
   cp.digests = engine_->TableDigests();
-  engine::BackupOptions bo;
-  bo.include_metadata = true;
-  bo.include_sequences = true;
-  Result<engine::BackupImage> image = engine_->Backup(bo);
-  if (!image.ok()) return;  // Disk full et al: retry at the next boundary.
-  cp.image = image.TakeValue();
+  // Only a durable log is ever restored (Restart), so only it pays for an
+  // image. Elsewhere the record still carries version, time and digests
+  // for GC, the status console and log readers; restoring its empty image
+  // would fail the digest check in RecoverFromDurableLog.
+  if (options_.binlog.durable) {
+    engine::BackupOptions bo;
+    bo.include_metadata = true;
+    bo.include_sequences = true;
+    Result<engine::BackupImage> image = engine_->Backup(bo);
+    if (!image.ok()) return;  // Disk full et al: retry at the next boundary.
+    cp.image = image.TakeValue();
+  }
   if (!durable_log_->AppendCheckpoint(cp).ok()) return;
   entries_since_checkpoint_ = 0;
   // GC sealed segments behind the slowest consumer: recovery needs

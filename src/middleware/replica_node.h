@@ -62,6 +62,9 @@ struct ReplicaOptions {
   /// but only `durable = true` makes it the recovery source: the engine
   /// then models volatile state, a crash wipes it, and Restart() rebuilds
   /// from the latest checkpoint + log tail instead of a full resync.
+  /// Only a durable log's checkpoints carry the engine image; the others
+  /// log version, time and table digests with an empty image, which is
+  /// all that GC and the console read.
   struct BinlogConfig {
     bool durable = false;
     int64_t segment_max_bytes = 256 * 1024;

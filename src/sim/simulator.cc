@@ -30,7 +30,8 @@ EventId Simulator::ScheduleAt(TimePoint when, std::function<void()> fn) {
     free_slots_.pop_back();
   }
   slots_[slot].queued = true;
-  queue_.push(Event{when, next_seq_++, slot, std::move(fn)});
+  slots_[slot].fn = std::move(fn);
+  queue_.push(Event{when, next_seq_++, slot});
   return (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
 }
 
@@ -43,25 +44,27 @@ void Simulator::Cancel(EventId id) {
   ++cancelled_queued_;
 }
 
-bool Simulator::ReleaseSlot(uint32_t slot) {
+bool Simulator::ReleaseSlot(uint32_t slot, std::function<void()>* fn) {
   Slot& s = slots_[slot];
   bool cancelled = s.cancelled;
   if (cancelled) --cancelled_queued_;
+  *fn = std::exchange(s.fn, nullptr);
   s.queued = false;
   s.cancelled = false;
   if (++s.generation == 0) s.generation = 1;
   free_slots_.push_back(slot);
-  return cancelled;
+  return !cancelled;
 }
 
 bool Simulator::Step() {
   while (!queue_.empty()) {
     Event ev = queue_.top();
+    std::function<void()> fn;
     queue_.pop();
-    if (ReleaseSlot(ev.slot)) continue;
+    if (!ReleaseSlot(ev.slot, &fn)) continue;
     now_ = ev.when;
     ++events_executed_;
-    ev.fn();
+    fn();
     return true;
   }
   return false;
@@ -79,19 +82,19 @@ void Simulator::RunUntil(TimePoint deadline) {
     // Peek: skip cancelled heads without executing.
     bool executed = false;
     while (!queue_.empty()) {
-      const Event& head = queue_.top();
-      if (slots_[head.slot].cancelled) {
-        ReleaseSlot(head.slot);
+      Event ev = queue_.top();
+      std::function<void()> fn;
+      if (slots_[ev.slot].cancelled) {
         queue_.pop();
+        ReleaseSlot(ev.slot, &fn);
         continue;
       }
-      if (head.when > deadline) break;
-      Event ev = queue_.top();
+      if (ev.when > deadline) break;
       queue_.pop();
-      ReleaseSlot(ev.slot);
+      ReleaseSlot(ev.slot, &fn);
       now_ = ev.when;
       ++events_executed_;
-      ev.fn();
+      fn();
       executed = true;
       break;
     }

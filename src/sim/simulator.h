@@ -83,15 +83,17 @@ class Simulator {
   size_t pending_events() const { return queue_.size() - cancelled_queued_; }
 
  private:
+  /// Heap entry: the order key and the slot holding the callable, so a
+  /// pop moves 24 bytes and never copies a closure.
   struct Event {
     TimePoint when;
     uint64_t seq;  // Tie-breaker: FIFO among same-time events.
     uint32_t slot;
-    std::function<void()> fn;
   };
   /// State of one event id while its event sits in the queue. A slot is
   /// recycled when its event leaves the queue, fired or skipped.
   struct Slot {
+    std::function<void()> fn;
     uint32_t generation = 1;
     bool queued = false;
     bool cancelled = false;
@@ -103,9 +105,10 @@ class Simulator {
     }
   };
 
-  /// Frees the slot of an event that just left the queue; true when the
-  /// event had been cancelled (skip it).
-  bool ReleaseSlot(uint32_t slot);
+  /// Frees the slot of an event that just left the queue and moves its
+  /// callable into `fn`; false when the event had been cancelled (skip
+  /// it: the caller only destroys `fn`).
+  bool ReleaseSlot(uint32_t slot, std::function<void()>* fn);
 
   TimePoint now_ = 0;
   uint64_t next_seq_ = 1;

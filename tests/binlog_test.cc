@@ -84,6 +84,68 @@ TEST(FormatTest, CheckpointRecordRoundTrips) {
   EXPECT_EQ(back.value().taken_at_us, 99);
 }
 
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    out.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+  }
+  return out;
+}
+
+// Frames are the on-disk format: recovery and perfbench's segment replay
+// compare them byte for byte, so framing, CRC and payload encoding are
+// pinned here to the bytes the format has always produced.
+TEST(FormatTest, FrameBytesAreGolden) {
+  std::string entry_frame;
+  PutRecord(RecordType::kEntry, EncodeEntryPayload(Entry(42)), &entry_frame);
+  EXPECT_EQ(Hex(entry_frame),
+            "474c42520100260000006c8c5e2dd55b01030154a09005010132555044415445"
+            "2074205345542078203d20303030303030343200");
+
+  CheckpointRecord cp;
+  cp.version = 9;
+  cp.taken_at_us = 123456;
+  cp.digests = {{"main.t", 0x0123456789abcdefULL}};
+  engine::BackupImage& img = cp.image;
+  img.source_name = "r1";
+  img.as_of = 9;
+  img.has_metadata = true;
+  img.has_sequences = true;
+  engine::BackupImage::DatabaseImage db;
+  db.name = "main";
+  engine::BackupImage::TableImage t;
+  t.schema.name = "t";
+  sql::ColumnDef id;
+  id.name = "id";
+  id.type = sql::ValueType::kInt;
+  id.primary_key = true;
+  id.auto_increment = true;
+  sql::ColumnDef name;
+  name.name = "name";
+  name.type = sql::ValueType::kString;
+  name.not_null = true;
+  t.schema.columns = {id, name};
+  t.schema.primary_key_index = 0;
+  t.auto_increment = 3;
+  t.rows = {{sql::Value::Int(1), sql::Value::String("a")},
+            {sql::Value::Int(2), sql::Value::String("bc")}};
+  db.tables.push_back(std::move(t));
+  db.sequences["s"] = 7;
+  img.databases.push_back(std::move(db));
+  img.users = {"admin"};
+  img.trigger_names = {"trg"};
+  std::string cp_frame;
+  PutRecord(RecordType::kCheckpoint, EncodeCheckpointPayload(cp), &cp_frame);
+  EXPECT_EQ(Hex(cp_frame),
+            "474c42520200790000009118ce3a0940e201000000000001066d61696e2e74ef"
+            "cdab896745230102723109010101046d61696e010174020269640103046e616d"
+            "6503080000000000000000000300000000000000020201010000000000000003"
+            "016102010200000000000000030262630101730700000000000000010561646d"
+            "696e0103747267");
+}
+
 TEST(FormatTest, ParseRejectsCorruptionAndTruncation) {
   std::string frame;
   PutRecord(RecordType::kEntry, EncodeEntryPayload(Entry(1)), &frame);
@@ -582,6 +644,69 @@ TEST(SegmentedBinlogTest, WatermarkAndCheckpointSurviveRecovery) {
   EXPECT_EQ(reopened.Stats().checkpoint_at_us, 1234);
 }
 
+TEST(SegmentedBinlogTest, RecoverReturnsTheLatestCheckpointsFullImage) {
+  // The log remembers only the latest checkpoint's version and time;
+  // its image lives in the log bytes, and Recover() must decode the
+  // newest one in full.
+  auto image = [](const std::string& source, int rows) {
+    engine::BackupImage img;
+    img.source_name = source;
+    img.as_of = static_cast<engine::CommitSeq>(rows);
+    img.has_metadata = true;
+    img.users = {"admin", source};
+    engine::BackupImage::DatabaseImage db;
+    db.name = "main";
+    engine::BackupImage::TableImage t;
+    t.schema.name = "t";
+    sql::ColumnDef c;
+    c.name = "id";
+    t.schema.columns = {c};
+    for (int i = 0; i < rows; ++i) t.rows.push_back({sql::Value::Int(i)});
+    db.tables.push_back(std::move(t));
+    img.databases.push_back(std::move(db));
+    return img;
+  };
+  MemLogStore store;
+  SegmentedBinlog log(&store, SegmentedLogOptions{});
+  for (GlobalVersion v = 1; v <= 3; ++v) ASSERT_TRUE(log.Append(Entry(v)).ok());
+  CheckpointRecord first;
+  first.version = 3;
+  first.taken_at_us = 300;
+  first.digests = {{"main.t", 3u}};
+  first.image = image("first", 3);
+  ASSERT_TRUE(log.AppendCheckpoint(first).ok());
+  for (GlobalVersion v = 4; v <= 6; ++v) ASSERT_TRUE(log.Append(Entry(v)).ok());
+  CheckpointRecord second;
+  second.version = 6;
+  second.taken_at_us = 600;
+  second.digests = {{"main.t", 6u}};
+  second.image = image("second", 5);
+  ASSERT_TRUE(log.AppendCheckpoint(second).ok());
+  BinlogStats st = log.Stats();
+  EXPECT_EQ(st.checkpoint_version, 6u);
+  EXPECT_EQ(st.checkpoint_at_us, 600);
+  EXPECT_EQ(st.checkpoints_appended, 2u);
+  EXPECT_EQ(st.checkpoint_image_rows, 8u);
+
+  SegmentedBinlog reopened(&store, SegmentedLogOptions{});
+  Result<RecoveryInfo> info = reopened.Recover();
+  ASSERT_TRUE(info.ok());
+  ASSERT_TRUE(info.value().have_checkpoint);
+  const CheckpointRecord& cp = info.value().checkpoint;
+  EXPECT_EQ(cp.version, 6u);
+  EXPECT_EQ(cp.taken_at_us, 600);
+  EXPECT_EQ(cp.digests, second.digests);
+  EXPECT_EQ(cp.image.source_name, "second");
+  EXPECT_EQ(cp.image.users, second.image.users);
+  ASSERT_EQ(cp.image.databases.size(), 1u);
+  ASSERT_EQ(cp.image.databases[0].tables.size(), 1u);
+  EXPECT_EQ(cp.image.databases[0].tables[0].rows,
+            second.image.databases[0].tables[0].rows);
+  EXPECT_EQ(cp.image.RowCount(), 5u);
+  EXPECT_EQ(reopened.Stats().checkpoint_version, 6u);
+  EXPECT_EQ(reopened.Stats().checkpoint_at_us, 600);
+}
+
 // ---------------------------------------------------------------------------
 // File backend (real filesystem, temp dir)
 // ---------------------------------------------------------------------------
@@ -726,6 +851,8 @@ TEST_P(BinlogAllModesTest, KillMidApplyRestartReplaysAndConverges) {
   binlog::BinlogStats bl = c.replica(2)->DurableLogStats();
   EXPECT_GT(bl.records, 0u);
   EXPECT_GE(bl.checkpoint_version, 1u) << "setup seeds the first checkpoint";
+  EXPECT_EQ(bl.checkpoint_image_rows, bl.checkpoints_appended * 50)
+      << "every durable checkpoint carries the full image";
 }
 
 // Kill-mid-apply under dependency-aware parallel apply: 4 workers with
@@ -783,6 +910,75 @@ TEST_P(BinlogAllModesTest, KillMidParallelApplyRestartConverges) {
       << "parallel apply + crash-restart must still converge";
   EXPECT_EQ(c.replica(2)->engine()->ContentHash(),
             c.replica(0)->engine()->ContentHash());
+}
+
+// Every checkpoint record a replica's log holds, decoded from its bytes.
+std::vector<CheckpointRecord> LoggedCheckpoints(middleware::ReplicaNode* r) {
+  std::vector<CheckpointRecord> out;
+  SegmentedBinlog* log = r->durable_log();
+  for (const SegmentInfo& seg : log->segments()) {
+    Result<std::string> bytes = log->store()->Read(seg.segment);
+    EXPECT_TRUE(bytes.ok());
+    if (!bytes.ok()) continue;
+    std::string_view rest(bytes.value());
+    RecordView view;
+    while (!rest.empty() && ParseRecord(rest, &view).ok()) {
+      if (view.type == RecordType::kCheckpoint) {
+        Result<CheckpointRecord> cp = DecodeCheckpointPayload(view.payload);
+        EXPECT_TRUE(cp.ok());
+        if (cp.ok()) out.push_back(std::move(cp.value()));
+      }
+      rest.remove_prefix(view.frame_bytes);
+    }
+    EXPECT_TRUE(rest.empty()) << "segment " << seg.segment << " parses whole";
+  }
+  return out;
+}
+
+// Only a durable log is ever restored, so only it carries images. The
+// others still log each checkpoint's version and digests, which GC and
+// the status console read.
+TEST_P(BinlogAllModesTest, CheckpointImagesOnlyInDurableLogs) {
+  for (bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable" : "not durable");
+    middleware::ClusterOptions opts;
+    opts.replicas = 3;
+    opts.controller.mode = GetParam();
+    opts.replica.binlog.durable = durable;
+    opts.replica.binlog.checkpoint_every = 8;
+    middleware::Cluster c(std::move(opts));
+    c.Setup(AccountsSetup());
+    c.Start();
+    c.sim.RunFor(kSecond);
+    for (int i = 0; i < 40; ++i) {
+      c.driver(0)->Submit(
+          Write("UPDATE accounts SET balance = balance + 1 WHERE id = " +
+                std::to_string(i % 50)),
+          [](const middleware::TxnResult&) {});
+      c.sim.RunFor(50 * kMillisecond);
+    }
+    c.sim.RunFor(2 * kSecond);
+    ASSERT_TRUE(c.Converged());
+    uint64_t rows_per_image = durable ? 50 : 0;
+    for (int i = 0; i < 3; ++i) {
+      middleware::ReplicaNode* r = c.replica(i);
+      std::vector<CheckpointRecord> cps = LoggedCheckpoints(r);
+      ASSERT_FALSE(cps.empty()) << "replica " << i;
+      for (const CheckpointRecord& cp : cps) {
+        EXPECT_EQ(cp.image.RowCount(), rows_per_image) << "replica " << i;
+        EXPECT_EQ(cp.image.databases.empty(), !durable);
+        ASSERT_EQ(cp.digests.size(), 1u);
+        EXPECT_EQ(cp.digests[0].first, "main.accounts");
+      }
+      BinlogStats st = r->DurableLogStats();
+      EXPECT_EQ(st.checkpoint_version, cps.back().version);
+      EXPECT_EQ(st.checkpoint_at_us, cps.back().taken_at_us);
+      EXPECT_GE(st.checkpoints_appended, cps.size());
+      EXPECT_EQ(st.checkpoint_image_rows,
+                st.checkpoints_appended * rows_per_image);
+      EXPECT_EQ(cps.back().digests, r->engine()->TableDigests());
+    }
+  }
 }
 
 TEST(BinlogDeathTest, ReplayDigestMismatchDumpsBinlogFlightState) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "engine/rdbms.h"
+#include "engine/table.h"
 #include "sql/parser.h"
 
 namespace replidb::engine {
@@ -667,6 +671,154 @@ TEST_F(EngineTest, PhysicalOrderDiffersAcrossSeeds) {
     same = same && ra.rows[i][0].AsInt() == rb.rows[i][0].AsInt();
   }
   EXPECT_FALSE(same) << "unordered LIMIT picks different rows per replica";
+}
+
+// --- Cached physical order ----------------------------------------------------
+
+// The physical order as Scan computed it before the order was cached:
+// every visible row, sorted by the splitmix64 finalizer of rid ^ seed.
+// Get() reads visibility one RowId at a time, independent of the cache.
+uint64_t OracleMix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+std::vector<std::pair<RowId, sql::Row>> OracleScan(const VersionedTable& t,
+                                                   const TxnView& view,
+                                                   RowId max_rid,
+                                                   uint64_t seed) {
+  std::vector<std::pair<uint64_t, std::pair<RowId, sql::Row>>> hits;
+  for (RowId rid = 1; rid <= max_rid; ++rid) {
+    Result<sql::Row> row = t.Get(view, rid);
+    if (row.ok()) hits.push_back({OracleMix64(rid ^ seed), {rid, row.value()}});
+  }
+  std::sort(hits.begin(), hits.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::pair<RowId, sql::Row>> out;
+  for (auto& h : hits) out.push_back(std::move(h.second));
+  return out;
+}
+
+TEST(PhysicalOrderTest, ScanAndScanRowsMatchTheSortOracle) {
+  sql::ColumnDef id;
+  id.name = "id";
+  id.primary_key = true;
+  sql::ColumnDef v;
+  v.name = "v";
+  TableSchema schema;
+  schema.name = "t";
+  schema.columns = {id, v};
+  schema.primary_key_index = 0;
+  for (uint64_t seed : {0ULL, 7ULL, 0x5eedULL}) {
+    VersionedTable table(schema, seed);
+    Rng rng(seed + 1);
+    CommitSeq committed = 0;
+    TxnId next_txn = 1;
+    RowId max_rid = 0;
+    std::vector<TxnView> open;
+    auto check = [&](const std::string& step) {
+      std::vector<TxnView> views = open;
+      TxnView latest;
+      latest.snapshot = committed;
+      latest.level = IsolationLevel::kSnapshot;
+      views.push_back(latest);
+      for (const TxnView& view : views) {
+        std::vector<std::pair<RowId, sql::Row>> want =
+            OracleScan(table, view, max_rid, seed);
+        std::vector<std::pair<RowId, sql::Row>> got;
+        table.Scan(view, &got, nullptr);
+        ASSERT_EQ(got, want) << step << " txn " << view.id;
+        std::vector<sql::Row> rows;
+        table.ScanRows(view, &rows);
+        ASSERT_EQ(rows.size(), want.size()) << step;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          ASSERT_EQ(rows[i], want[i].second) << step << " row " << i;
+        }
+      }
+    };
+    for (int step = 0; step < 1500; ++step) {
+      uint64_t op = rng.Uniform(10);
+      if (open.empty() || (op == 0 && open.size() < 4)) {
+        TxnView txn;
+        txn.id = next_txn++;
+        txn.snapshot = committed;
+        txn.level = rng.Chance(0.5) ? IsolationLevel::kSnapshot
+                                    : IsolationLevel::kReadCommitted;
+        open.push_back(txn);
+        continue;
+      }
+      size_t pick = rng.Uniform(open.size());
+      TxnView& txn = open[pick];
+      sql::Row row = {sql::Value::Int(rng.UniformRange(0, 60)),
+                      sql::Value::Int(rng.UniformRange(0, 1000))};
+      std::string name;
+      if (op <= 3) {
+        name = "insert";
+        Result<RowId> rid = table.Insert(txn, row, nullptr);
+        if (rid.ok()) max_rid = std::max(max_rid, rid.value());
+      } else if (op <= 5 && max_rid > 0) {
+        name = "update";
+        RowId rid = static_cast<RowId>(rng.UniformRange(1, max_rid));
+        (void)table.Update(txn, rid, row, nullptr);
+      } else if (op == 6 && max_rid > 0) {
+        name = "delete";
+        RowId rid = static_cast<RowId>(rng.UniformRange(1, max_rid));
+        (void)table.Delete(txn, rid, nullptr);
+      } else if (op == 7) {
+        name = "rollback";
+        table.RollbackTxn(txn.id);
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else {
+        // Commit with inline vacuum up to the oldest open snapshot.
+        name = "commit";
+        TxnId id = txn.id;
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
+        CommitSeq horizon = committed + 1;
+        for (const TxnView& o : open) horizon = std::min(horizon, o.snapshot);
+        table.CommitTxn(id, ++committed, horizon);
+      }
+      check(name + " at step " + std::to_string(step));
+    }
+  }
+}
+
+TEST_F(EngineTest, BackupRowsFollowTheScanOrder) {
+  MustExec("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  Rng rng(11);
+  SessionId other = db_->Connect().value();
+  for (int step = 0; step < 300; ++step) {
+    SessionId s = rng.Chance(0.5) ? session_ : other;
+    int64_t k = rng.UniformRange(0, 40);
+    std::string key = std::to_string(k);
+    switch (rng.Uniform(5)) {
+      case 0:
+        Exec("INSERT INTO t VALUES (" + key + ", " + key + ")");
+        break;
+      case 1:
+        db_->Execute(s, "BEGIN");
+        db_->Execute(s, "INSERT INTO t VALUES (" + key + ", 0)");
+        db_->Execute(s, "ROLLBACK");
+        break;
+      case 2:
+        db_->Execute(s, "UPDATE t SET v = v + 1 WHERE id = " + key);
+        break;
+      case 3:
+        db_->Execute(s, "DELETE FROM t WHERE id = " + key);
+        break;
+      default:
+        db_->Execute(s, "BEGIN");
+        db_->Execute(s, "UPDATE t SET v = v + 2 WHERE id = " + key);
+        db_->Execute(s, "COMMIT");
+        break;
+    }
+    ExecResult all = MustExec("SELECT * FROM t");
+    BackupImage img = db_->Backup(BackupOptions{}).value();
+    ASSERT_EQ(img.databases.size(), 1u);
+    ASSERT_EQ(img.databases[0].tables.size(), 1u);
+    ASSERT_EQ(img.databases[0].tables[0].rows, all.rows) << "step " << step;
+    EXPECT_EQ(img.RowCount(), all.rows.size());
+  }
 }
 
 // --- Backup / restore (§4.4.1, §4.1.5) -------------------------------------------

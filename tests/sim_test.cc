@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -175,6 +177,59 @@ TEST(SimulatorTest, RequestStopHaltsRun) {
   EXPECT_EQ(fired, 1);
   sim.Run();  // Resumes with remaining events.
   EXPECT_EQ(fired, 2);
+}
+
+// Counts copies of itself; moves are free.
+struct CopyCounter {
+  int* copies;
+  int* calls;
+  CopyCounter(int* c, int* k) : copies(c), calls(k) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies), calls(o.calls) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) = default;
+  void operator()() const { ++*calls; }
+};
+
+TEST(SimulatorTest, DispatchMovesCallablesAndNeverCopiesThem) {
+  Simulator sim;
+  int copies = 0, calls = 0;
+  for (int i = 0; i < 8; ++i) sim.Schedule(i, CopyCounter(&copies, &calls));
+  sim.RunUntil(3);
+  sim.Step();
+  sim.Run();
+  EXPECT_EQ(calls, 8);
+  EXPECT_EQ(copies, 0) << "the pop must move the callable out of its slot";
+}
+
+TEST(SimulatorTest, CallableOutlivesSlotGrowthDuringItsOwnRun) {
+  // The running callable must not live in the slot table: scheduling
+  // from inside it grows (reallocates) the table and reuses its slot.
+  Simulator sim;
+  auto payload = std::make_shared<std::string>("captured");
+  std::string seen;
+  int fired = 0;
+  sim.Schedule(1, [&, payload] {
+    for (int i = 0; i < 1000; ++i) sim.Schedule(1, [&] { ++fired; });
+    seen = *payload;
+  });
+  sim.Run();
+  EXPECT_EQ(seen, "captured");
+  EXPECT_EQ(fired, 1000);
+  EXPECT_EQ(payload.use_count(), 1) << "fired callables are destroyed";
+}
+
+TEST(SimulatorTest, CancelledCallableIsDestroyedWhenItsEventPops) {
+  Simulator sim;
+  auto payload = std::make_shared<int>(0);
+  EventId id = sim.Schedule(10, [payload] { ++*payload; });
+  sim.Schedule(20, [] {});
+  sim.Cancel(id);
+  EXPECT_EQ(payload.use_count(), 2) << "cancel leaves the closure queued";
+  sim.RunUntil(15);
+  EXPECT_EQ(payload.use_count(), 1);
+  EXPECT_EQ(*payload, 0);
+  EXPECT_EQ(sim.pending_events(), 1u);
 }
 
 TEST(SimulatorTest, EventsExecutedCounter) {

@@ -196,6 +196,9 @@ constexpr Rule kRules[] = {
     // About 1 when only the controller parses; a replica re-parse adds
     // one per statement and one per BEGIN/COMMIT.
     {"parses_per_stmt", Direction::kLowerBetter, 0.05, 0.1},
+    // Deterministic work counter: backup-image rows per checkpoint
+    // record. A full image where the log is restored, 0 where it is not.
+    {"image_rows_per_checkpoint", Direction::kLowerBetter, 0.05, 0.1},
     {"abort_pct", Direction::kLowerBetter, 0.20, 1.0},
     {"peak_lag", Direction::kLowerBetter, 0.25, 50.0},
     {"final_lag", Direction::kLowerBetter, 0.25, 50.0},
@@ -434,6 +437,23 @@ int SelfTest() {
   }
   if (!CompareMetric("parses_per_stmt", 1.0, 2.0, opt).regressed) {
     return Fail("parses_per_stmt rise undetected");
+  }
+  // Image rows per checkpoint has the same tight band: a log that
+  // nobody restores carries none, so any rise from 0 fails.
+  const Rule* image_rows = FindRule("resync.image_rows_per_checkpoint");
+  if (image_rows == nullptr ||
+      std::strcmp(image_rows->pattern, "image_rows_per_checkpoint")) {
+    return Fail("image_rows_per_checkpoint caught by an earlier rule");
+  }
+  if (!CompareMetric("resync.image_rows_per_checkpoint", 0, 1, opt)
+           .regressed) {
+    return Fail("image_rows_per_checkpoint rise from 0 undetected");
+  }
+  if (CompareMetric("durable.image_rows_per_checkpoint", 30000, 31000, opt)
+          .regressed ||
+      !CompareMetric("durable.image_rows_per_checkpoint", 30000, 33000, opt)
+           .regressed) {
+    return Fail("image_rows_per_checkpoint band");
   }
   // Wall-clock metric never fails.
   if (CompareMetric("events_per_sec", 5e6, 1.0, opt).regressed) {
